@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/report_common.h"
+#include "common/parallel.h"
 #include "core/features.h"
 #include "core/segmentation.h"
 #include "core/waste_mitigation.h"
@@ -551,62 +552,37 @@ int Run(int argc, char** argv) {
                    static_cast<int64_t>(replayed));
   }
   // ---- Phase 6: sharded multi-session service, opt-in (--shards=N). ----
-  // Sweeps shard counts (powers of two up to N, plus N) through
-  // ShardedProvenanceService and reports aggregate ingest throughput and
-  // the speedup over the 1-shard run. Every sweep point must merge to
-  // the exact batch segmentation — the identity bit below is part of the
-  // exit code, like every other identity in this binary. The binary
-  // sweep reuses the phase-4 MLPB blobs so the zero-copy path shards too.
+  // Sweeps thread counts (powers of two up to the hardware threads, plus
+  // that count) through ShardedProvenanceService at N shards and reports
+  // aggregate ingest throughput and the speedup over the 1-thread run:
+  // threads set the service's concurrency, shards only tag slots and lay
+  // out WALs. Every sweep point must merge to the exact batch
+  // segmentation — the identity bit below is part of the exit code, like
+  // every other identity in this binary. The binary ingest reuses the
+  // phase-4 MLPB blobs so the zero-copy path shards too.
   bool sharded_identical = true;
   if (ctx.options.shards > 0) {
-    const auto backpressure =
-        stream::ParseBackpressurePolicy(ctx.options.backpressure);
-    if (!backpressure.ok()) {
-      std::fprintf(stderr, "error: --backpressure: %s\n",
-                   backpressure.status().ToString().c_str());
-      return 2;
-    }
     const size_t max_shards = static_cast<size_t>(ctx.options.shards);
-    std::vector<size_t> sweep;
-    for (size_t s = 1; s < max_shards; s <<= 1) sweep.push_back(s);
-    sweep.push_back(max_shards);
+    const int max_threads = common::HardwareThreads();
+    std::vector<int> sweep;
+    for (int t = 1; t < max_threads; t <<= 1) sweep.push_back(t);
+    sweep.push_back(max_threads);
 
     const uint64_t batch_print = FingerprintSegmented(segmented);
-    // Identity under kShed is per *surviving* slot (the merge is a
-    // documented subset once pipelines are shed); under kBlock nothing
-    // sheds and this is exactly full-corpus fingerprint identity.
-    const auto surviving_slots_identical =
-        [&](const stream::ShardedResult& r) {
-          for (const stream::ShardPipelineResult& p : r.pipelines) {
-            if (p.shed) continue;
-            const core::SegmentedPipeline& ref = segmented.pipelines[p.slot];
-            if (stream::FingerprintGraphlets(p.result.graphlets) !=
-                    stream::FingerprintGraphlets(ref.graphlets) ||
-                p.quarantined_graphlets != ref.quarantined_graphlets) {
-              return false;
-            }
-          }
-          return true;
-        };
-    double one_shard_rate = 0.0, top_rate = 0.0;
-    uint64_t top_stalls = 0;
-    size_t top_queue_peak = 0;
-    std::printf("sharded ingest (backpressure %s, queue %lld):\n",
-                stream::ToString(*backpressure),
-                static_cast<long long>(ctx.options.shard_queue_capacity));
-    for (const size_t shards : sweep) {
+    double one_thread_rate = 0.0, top_rate = 0.0;
+    std::printf("sharded ingest (%zu shards):\n", max_shards);
+    for (const int threads : sweep) {
       stream::ShardRouterOptions shard_options;
-      shard_options.shards = shards;
-      shard_options.queue_capacity = static_cast<size_t>(
-          std::max<int64_t>(2, ctx.options.shard_queue_capacity));
-      shard_options.backpressure = *backpressure;
+      shard_options.shards = max_shards;
       shard_options.session.segmenter.seal_grace_hours =
           ctx.options.stream_seal_grace_hours;
       stream::ShardedProvenanceService service(shard_options);
+      common::SetGlobalThreads(threads);
       const auto t0 = Clock::now();
       auto result = service.IngestCorpus(ctx.corpus);
       const double seconds =
           std::chrono::duration<double>(Clock::now() - t0).count();
+      common::SetGlobalThreads(ctx.options.threads);
       if (!result.ok()) {
         std::fprintf(stderr, "error: sharded ingest: %s\n",
                      result.status().ToString().c_str());
@@ -619,54 +595,39 @@ int Run(int argc, char** argv) {
         return 1;
       }
       const bool merged_identical =
-          surviving_slots_identical(*result) &&
-          (result->shed_pipelines > 0 ||
-           FingerprintSegmented(result->ToSegmentedCorpus()) == batch_print);
+          FingerprintSegmented(result->ToSegmentedCorpus()) == batch_print;
       sharded_identical = sharded_identical && merged_identical;
       const double rate =
           seconds > 0.0 ? static_cast<double>(result->records) / seconds
                         : 0.0;
-      if (shards == 1) one_shard_rate = rate;
-      if (shards == max_shards) {
-        top_rate = rate;
-        top_stalls = result->backpressure_stalls;
-        top_queue_peak = result->queue_depth_peak;
-      }
+      if (threads == 1) one_thread_rate = rate;
+      if (threads == max_threads) top_rate = rate;
       std::printf(
-          "  %3zu shard(s): %llu records in %.3fs (%.0f records/s, "
-          "%.2fx of 1 shard, %llu stalls, %zu shed, queue peak %zu) %s\n",
-          shards, static_cast<unsigned long long>(result->records), seconds,
-          rate, one_shard_rate > 0.0 ? rate / one_shard_rate : 0.0,
-          static_cast<unsigned long long>(result->backpressure_stalls),
-          result->shed_pipelines, result->queue_depth_peak,
+          "  %3d thread(s): %llu records in %.3fs (%.0f records/s, "
+          "%.2fx of 1 thread) %s\n",
+          threads, static_cast<unsigned long long>(result->records), seconds,
+          rate, one_thread_rate > 0.0 ? rate / one_thread_rate : 0.0,
           merged_identical ? "IDENTICAL" : "MISMATCH — BUG");
       char key[64];
-      std::snprintf(key, sizeof(key), "sharded.sweep.%zu.records_per_sec",
-                    shards);
+      std::snprintf(key, sizeof(key), "sharded.sweep.%d.records_per_sec",
+                    threads);
       ctx.report.Set(key, rate);
     }
-    const double shard_speedup =
-        one_shard_rate > 0.0 ? top_rate / one_shard_rate : 0.0;
+    const double thread_speedup =
+        one_thread_rate > 0.0 ? top_rate / one_thread_rate : 0.0;
     std::printf("sharded == batch segmentation: %s\n",
                 sharded_identical ? "IDENTICAL" : "MISMATCH — BUG");
-    std::printf("sharded speedup at %zu shards: %.2fx\n", max_shards,
-                shard_speedup);
+    std::printf("sharded speedup at %d threads: %.2fx\n", max_threads,
+                thread_speedup);
     ctx.report.Set("sharded.shards", static_cast<int64_t>(max_shards));
-    ctx.report.Set("sharded.queue_capacity",
-                   ctx.options.shard_queue_capacity);
-    ctx.report.Set("sharded.backpressure",
-                   stream::ToString(*backpressure));
+    ctx.report.Set("sharded.threads", static_cast<int64_t>(max_threads));
     ctx.report.Set("sharded.records_per_sec", top_rate);
-    ctx.report.Set("sharded.one_shard_records_per_sec", one_shard_rate);
-    ctx.report.Set("sharded.speedup", shard_speedup);
+    ctx.report.Set("sharded.one_thread_records_per_sec", one_thread_rate);
+    ctx.report.Set("sharded.speedup", thread_speedup);
     ctx.report.Set("sharded.identical", sharded_identical);
-    ctx.report.Set("sharded.backpressure_stalls",
-                   static_cast<int64_t>(top_stalls));
-    ctx.report.Set("sharded.queue_depth_peak",
-                   static_cast<int64_t>(top_queue_peak));
 
-    // Sharded zero-copy: route the phase-4 blobs whole, decode inside
-    // the owning shard.
+    // Sharded zero-copy: each phase-4 blob is decoded inside the loop
+    // body that owns its pipeline.
     {
       std::vector<stream::ShardedProvenanceService::BinaryPipeline> blobs;
       blobs.reserve(binaries.size());
@@ -676,9 +637,6 @@ int Run(int argc, char** argv) {
       }
       stream::ShardRouterOptions shard_options;
       shard_options.shards = max_shards;
-      shard_options.queue_capacity = static_cast<size_t>(
-          std::max<int64_t>(2, ctx.options.shard_queue_capacity));
-      shard_options.backpressure = *backpressure;
       shard_options.session.segmenter.seal_grace_hours =
           ctx.options.stream_seal_grace_hours;
       stream::ShardedProvenanceService service(shard_options);
@@ -693,12 +651,7 @@ int Run(int argc, char** argv) {
       const bool binary_identical =
           FingerprintSegmented(result->ToSegmentedCorpus()) == batch_print;
       sharded_identical = sharded_identical && binary_identical;
-      // Blobs are routed whole and decoded inside the owning shard, so
-      // the record count lives in the slots, not the router tally.
-      uint64_t binary_records = 0;
-      for (const stream::ShardPipelineResult& p : result->pipelines) {
-        binary_records += p.records;
-      }
+      const uint64_t binary_records = result->records;
       const double rate =
           seconds > 0.0 ? static_cast<double>(binary_records) / seconds
                         : 0.0;

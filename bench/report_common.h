@@ -106,15 +106,11 @@ struct Options {
   int64_t checkpoint_interval = 256;
   int max_session_restarts = 3;
   int64_t crash_after_records = 0;
-  /// Sharded-service flags (bench_stream_ingest — see DESIGN.md
+  /// Sharded-service flag (bench_stream_ingest — see DESIGN.md
   /// "Sharded provenance service"):
-  ///   --shards=N                arm the sharded phase and sweep shard
-  ///                             counts up to N (0 = off)
-  ///   --shard_queue_capacity=N  per-shard SPSC queue bound, in records
-  ///   --backpressure=P          block (lossless) | shed
+  ///   --shards=N                arm the sharded phase at N shards and
+  ///                             sweep thread counts (0 = off)
   int shards = 0;
-  int64_t shard_queue_capacity = 1024;
-  std::string backpressure = "block";
 
   static Options Parse(const common::Flags& flags,
                        int default_pipelines = 600) {
@@ -179,9 +175,6 @@ struct Options {
     options.crash_after_records =
         IntFlagOrDie(flags, "crash_after_records", 0);
     options.shards = static_cast<int>(IntFlagOrDie(flags, "shards", 0));
-    options.shard_queue_capacity =
-        IntFlagOrDie(flags, "shard_queue_capacity", 1024);
-    options.backpressure = flags.GetString("backpressure", "block");
     return options;
   }
 };

@@ -25,8 +25,6 @@ thread_local bool t_in_parallel_region = false;
 
 }  // namespace
 
-bool InParallelRegion() { return t_in_parallel_region; }
-
 int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -1,7 +1,6 @@
 #ifndef MLPROV_COMMON_PARALLEL_H_
 #define MLPROV_COMMON_PARALLEL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -9,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -19,14 +17,6 @@ namespace mlprov::common {
 
 /// Number of hardware threads, never less than 1.
 int HardwareThreads();
-
-/// True while the calling thread is executing a ParallelFor body on
-/// behalf of a pool (workers and the participating caller). Loops issued
-/// in that state run inline; callers that *require* real concurrency
-/// between loop bodies (e.g. a producer feeding bounded queues that only
-/// its consumers drain) must check this and fall back to a sequential
-/// schedule instead.
-bool InParallelRegion();
 
 /// Process-wide parallelism knob read by the free ParallelFor/ParallelMap
 /// below. Defaults to HardwareThreads(); 1 selects the exact sequential
@@ -104,78 +94,6 @@ std::vector<T> ParallelMap(size_t n, Fn&& fn, size_t grain = 0) {
       n, [&](size_t i) { out[i] = fn(i); }, grain);
   return out;
 }
-
-/// Bounded lock-free single-producer/single-consumer ring. Exactly one
-/// thread may push and exactly one thread may pop (they may be the same
-/// thread); both operations are wait-free (one acquire load + one
-/// release store each). Capacity is rounded up to a power of two.
-///
-/// Close() is the producer's end-of-stream signal: pushes fail
-/// afterwards, while the consumer keeps draining buffered items and
-/// treats "empty and closed" as final. This is the shard-router
-/// backpressure primitive — TryPush returning false on a full ring is
-/// what the block/shed policies react to (common/parallel owns it so
-/// the pool and the queue discipline that must cooperate with it live
-/// in one place).
-template <typename T>
-class SpscQueue {
- public:
-  explicit SpscQueue(size_t capacity) {
-    size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    ring_.resize(cap);
-    mask_ = cap - 1;
-  }
-  SpscQueue(const SpscQueue&) = delete;
-  SpscQueue& operator=(const SpscQueue&) = delete;
-
-  size_t capacity() const { return ring_.size(); }
-
-  /// False when the ring is full or the queue is closed (the value is
-  /// left untouched either way so the producer can retry or shed it).
-  bool TryPush(T& value) {
-    if (closed_.load(std::memory_order_relaxed)) return false;
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= ring_.size()) {
-      return false;
-    }
-    ring_[tail & mask_] = std::move(value);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// False when no item is buffered; combine with closed() to
-  /// distinguish "not yet" from "never again".
-  bool TryPop(T& out) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = std::move(ring_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Producer-side end-of-stream. Idempotent; buffered items stay
-  /// poppable.
-  void Close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  /// Instantaneous depth; exact only from the producer or consumer
-  /// thread, a point-in-time estimate from anywhere else (metrics).
-  size_t size() const {
-    const size_t tail = tail_.load(std::memory_order_acquire);
-    const size_t head = head_.load(std::memory_order_acquire);
-    return tail - head;
-  }
-
- private:
-  std::vector<T> ring_;
-  size_t mask_ = 1;
-  /// Producer and consumer cursors on separate cache lines so the two
-  /// hot threads do not false-share.
-  alignas(64) std::atomic<size_t> head_{0};
-  alignas(64) std::atomic<size_t> tail_{0};
-  std::atomic<bool> closed_{false};
-};
 
 }  // namespace mlprov::common
 

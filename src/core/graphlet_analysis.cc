@@ -9,8 +9,6 @@
 #include "metadata/types.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "stream/replay.h"
-#include "stream/session.h"
 
 namespace mlprov::core {
 
@@ -101,21 +99,7 @@ SegmentedCorpus SegmentCorpus(const sim::Corpus& corpus,
           sp.quarantined_graphlets = QuarantineTrace(store, report, i);
           return;
         }
-        // Batch segmentation is a replay of the trace through the
-        // streaming session — the batch surface is a thin wrapper over
-        // the incremental one, and the session's Finish() is guaranteed
-        // byte-identical to SegmentTrace. Traces that pass validation
-        // but still violate the feed contract fall back to the direct
-        // batch path (same result by the identity guarantee).
-        stream::SessionOptions session_options;
-        session_options.segmenter.segmentation = options;
-        stream::ProvenanceSession session(session_options);
-        if (stream::ReplayTrace(corpus.pipelines[i], session).ok()) {
-          auto result = session.Finish();
-          sp.graphlets = std::move(result.value().graphlets);
-        } else {
-          sp.graphlets = SegmentTrace(store, options);
-        }
+        sp.graphlets = SegmentTrace(store, options);
         if (report.truncated_graphlets > 0) {
           sp.quarantined_graphlets =
               DropTruncatedGraphlets(store, sp.graphlets);

@@ -5,10 +5,10 @@
 /// ordered MLMD event feed — one record at a time, live from a running
 /// simulator (sim::ProvenanceSink) or replayed from a finished trace
 /// (ReplayTrace) — and maintains the incremental segmenter plus the
-/// optional online waste scorer over the growing trace. Batch analysis
-/// is a thin wrapper over this: core::SegmentCorpus replays each
-/// pipeline through a session, and Finish() is guaranteed byte-identical
-/// to core::SegmentTrace on the same feed.
+/// optional online waste scorer over the growing trace. Finish() is
+/// guaranteed byte-identical to the batch oracle core::SegmentTrace on
+/// the same feed; core::SegmentCorpus segments with SegmentTrace
+/// directly, so core never calls back into stream.
 ///
 /// Error model: Ingest validates the feed-order contract documented in
 /// simulator/provenance_sink.h (dense ids in order, events after their

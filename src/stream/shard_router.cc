@@ -1,12 +1,8 @@
 #include "stream/shard_router.h"
 
-#include <algorithm>
-#include <chrono>
-#include <exception>
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 
 #include "common/parallel.h"
@@ -14,71 +10,16 @@
 #include "metadata/binary_serialization.h"
 #include "metadata/trace_validator.h"
 #include "obs/metrics.h"
+#include "simulator/provenance_sink.h"
 #include "stream/supervisor.h"
 
 namespace mlprov::stream {
 
 namespace {
 
-/// Hard cap on --shards: far above any useful fan-out on one host
-/// (each shard is a pool thread) while catching typo'd flag values.
+/// Hard cap on --shards: far above any useful partition count while
+/// catching typo'd flag values.
 constexpr size_t kMaxShards = 256;
-
-/// One element of a shard queue. kBegin opens a pipeline on its shard
-/// (carrying either the trace to validate or the binary blob to
-/// decode), kRecord streams one provenance record, kEnd closes the
-/// pipeline and settles its result slot. The producer walks pipelines
-/// sequentially, so each shard sees at most one open pipeline at a
-/// time (its queue is a concatenation of whole-pipeline runs).
-struct Envelope {
-  enum class Kind : uint8_t { kBegin, kRecord, kEnd };
-  Kind kind = Kind::kRecord;
-  uint32_t slot = 0;
-  int64_t pipeline_id = 0;
-  /// kBegin, trace path (borrowed from the corpus, which outlives the
-  /// run).
-  const sim::PipelineTrace* trace = nullptr;
-  /// kBegin, binary path (borrowed from the IngestBinary argument).
-  const ShardedProvenanceService::BinaryPipeline* binary = nullptr;
-  /// kEnd: records of this pipeline were shed on a full queue.
-  bool shed = false;
-  sim::ProvenanceRecord record;
-  /// Owned copy of the record's span statistics: the feed only
-  /// guarantees the borrowed pointer for the duration of the sink call,
-  /// which ends long before the consumer pops (same shape as WalEntry).
-  std::optional<dataspan::SpanStats> span_stats;
-};
-
-/// Spin -> yield -> sleep wait ladder shared by the blocked producer
-/// and the idle consumers. The sleep tier matters on machines with
-/// fewer cores than shards (this container is single-core): a pure
-/// spin would starve the thread that could make progress.
-class Backoff {
- public:
-  void Pause() {
-    ++spins_;
-    if (spins_ < 64) return;
-    if (spins_ < 512) {
-      std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  void Reset() { spins_ = 0; }
-
- private:
-  unsigned spins_ = 0;
-};
-
-/// Router-side tallies, flushed into the registry at pipeline
-/// boundaries ("shard.*" instruments, PR 6 plane).
-struct RouterStats {
-  uint64_t routed = 0;
-  uint64_t stalls = 0;
-  uint64_t shed_records = 0;
-  size_t shed_pipelines = 0;
-  size_t queue_peak = 0;
-};
 
 SessionOptions MakeSessionOptions(const ShardRouterOptions& options,
                                   size_t shard, int64_t pipeline_id) {
@@ -90,532 +31,186 @@ SessionOptions MakeSessionOptions(const ShardRouterOptions& options,
   return session;
 }
 
-/// One unit of routable work: exactly one of trace/binary is set.
+/// One pipeline to ingest: exactly one of trace/binary is set.
 struct WorkItem {
   int64_t pipeline_id = 0;
   const sim::PipelineTrace* trace = nullptr;
   const ShardedProvenanceService::BinaryPipeline* binary = nullptr;
 };
 
-/// The per-shard consumer: owns the sessions of every pipeline routed
-/// to its shard (one at a time — see Envelope) and settles their result
-/// slots. Handle() is the single ingestion path for both the concurrent
-/// drain and the sequential fallback, so the two schedules cannot
-/// diverge behaviorally.
-class ShardWorker {
+/// Feeds a trace into a plain or durable session, stopping at the first
+/// error. The first `skip` records are acknowledged without ingesting:
+/// a recovered durable session already applied them from its
+/// WAL/checkpoint (the supervisor's re-feed contract). With
+/// `drop_span_stats`, span artifacts arrive without their statistics.
+template <typename Session>
+class FeedSink : public sim::ProvenanceSink {
  public:
-  ShardWorker(const ShardRouterOptions& options, size_t shard,
-              std::vector<ShardPipelineResult>* slots)
-      : options_(options), shard_(shard), slots_(slots) {}
-
-  void Handle(Envelope& env) {
-    switch (env.kind) {
-      case Envelope::Kind::kBegin:
-        Begin(env);
-        return;
-      case Envelope::Kind::kRecord:
-        Record(env);
-        return;
-      case Envelope::Kind::kEnd:
-        End(env);
-        return;
-    }
-  }
-
-  /// Concurrent-mode loop: pop until the queue is both closed and
-  /// drained. Close() happens-after every push (release/acquire), so
-  /// observing closed() means no more items can appear after a final
-  /// drain pass.
-  void Drain(common::SpscQueue<Envelope>& queue) {
-    Envelope env;
-    Backoff backoff;
-    for (;;) {
-      if (queue.TryPop(env)) {
-        backoff.Reset();
-        Handle(env);
-        continue;
-      }
-      if (queue.closed()) {
-        while (queue.TryPop(env)) Handle(env);
-        return;
-      }
-      backoff.Pause();
-    }
-  }
-
- private:
-  struct Active {
-    uint32_t slot = 0;
-    int64_t pipeline_id = 0;
-    const sim::PipelineTrace* trace = nullptr;
-    /// unique_ptr: the segmenter/featurizer observe the session's store
-    /// by pointer, so the session must never move.
-    std::unique_ptr<ProvenanceSession> session;
-    std::optional<DurableSession> durable;
-    /// Durable recovery: records already applied by WAL/checkpoint
-    /// replay; the feed's first `skip` records are acknowledged without
-    /// re-ingesting (the supervisor's re-feed contract).
-    uint64_t skip = 0;
-    uint64_t ingested = 0;
-    size_t truncated = 0;
-    size_t quarantined_graphlets = 0;
-    bool quarantined = false;
-    bool failed = false;
-    common::Status status;
-  };
-
-  void Begin(Envelope& env) {
-    Active a;
-    a.slot = env.slot;
-    a.pipeline_id = env.pipeline_id;
-    a.trace = env.trace;
-    if (env.trace != nullptr) {
-      // Mirror core::SegmentCorpus exactly: validate first, quarantine
-      // wholesale when the trace cannot be trusted, remember the
-      // truncation count for the post-Finish drop.
-      const metadata::ValidationReport report =
-          validator_.Validate(env.trace->store);
-      if (report.NeedsQuarantine()) {
-        a.quarantined = true;
-        a.quarantined_graphlets =
-            core::QuarantineTrace(env.trace->store, report, a.slot);
-      } else {
-        a.truncated = report.truncated_graphlets;
-        OpenSession(a);
-      }
-    } else {
-      OpenSession(a);
-      if (!a.failed) IngestBinary(a, *env.binary);
-    }
-    active_ = std::move(a);
-  }
-
-  void OpenSession(Active& a) {
-    const SessionOptions session =
-        MakeSessionOptions(options_, shard_, a.pipeline_id);
-    if (options_.wal_dir.empty()) {
-      a.session = std::make_unique<ProvenanceSession>(session);
-      return;
-    }
-    DurableOptions durable;
-    durable.wal.dir = options_.wal_dir + "/shard" + std::to_string(shard_) +
-                      "/p" + std::to_string(a.pipeline_id);
-    durable.wal.sync = options_.wal_sync;
-    durable.checkpoint_interval = options_.checkpoint_interval;
-    durable.session = session;
-    auto opened = DurableSession::Open(durable);
-    if (!opened.ok()) {
-      a.failed = true;
-      a.status = opened.status();
-      return;
-    }
-    a.durable.emplace(std::move(*opened));
-    a.skip = a.durable->records();
-  }
-
-  void IngestBinary(Active& a, const ShardedProvenanceService::BinaryPipeline&
-                                    pipeline) {
-    // The whole blob was routed here so the zero-copy cursor walk stays
-    // on one thread: RecordRef views borrow cursor-internal scratch
-    // that the next record overwrites, and must never cross the queue.
-    auto cursor = metadata::BinaryStoreCursor::Open(pipeline.data);
-    if (!cursor.ok()) {
-      a.failed = true;
-      a.status = cursor.status();
-      return;
-    }
-    metadata::RecordRef record;
-    while (cursor->Next(&record)) {
-      const common::Status status = a.session->Ingest(record);
-      if (!status.ok()) {
-        a.failed = true;
-        a.status = status;
-        return;
-      }
-      ++a.ingested;
-    }
-    if (!cursor->status().ok()) {
-      a.failed = true;
-      a.status = cursor->status();
-    }
-  }
-
-  void Record(Envelope& env) {
-    if (!active_.has_value()) return;
-    Active& a = *active_;
-    if (a.quarantined || a.failed) return;
-    if (a.skip > 0) {
-      --a.skip;
-      ++a.ingested;
-      return;
-    }
-    env.record.span_stats =
-        env.span_stats.has_value() ? &*env.span_stats : nullptr;
-    const common::Status status = a.durable.has_value()
-                                      ? a.durable->Ingest(env.record)
-                                      : a.session->Ingest(env.record);
-    if (!status.ok()) {
-      a.failed = true;
-      a.status = status;
-      return;
-    }
-    ++a.ingested;
-  }
-
-  void End(Envelope& env) {
-    if (!active_.has_value()) return;
-    Active a = std::move(*active_);
-    active_.reset();
-    ShardPipelineResult& out = (*slots_)[a.slot];
-    out.slot = a.slot;
-    out.pipeline_id = a.pipeline_id;
-    out.shard = shard_;
-    out.records = a.ingested;
-    if (env.shed) {
-      // The router abandoned the rest of this pipeline on a full
-      // queue: a half-fed session is not finishable, so the slot is
-      // marked and excluded from the merge (exact accounting, lossy by
-      // policy).
-      out.shed = true;
-      return;
-    }
-    if (a.quarantined) {
-      out.quarantined = true;
-      out.quarantined_graphlets = a.quarantined_graphlets;
-      return;
-    }
-    if (!a.failed) {
-      auto finished =
-          a.durable.has_value() ? a.durable->Finish() : a.session->Finish();
-      if (finished.ok()) {
-        out.result = std::move(*finished);
-      } else {
-        a.failed = true;
-        a.status = finished.status();
-      }
-    }
-    if (a.failed) {
-      out.status = a.status;
-      if (a.trace != nullptr) {
-        // SegmentCorpus's fallback: a validated trace that still
-        // violates the feed contract segments through the direct batch
-        // path (byte-identical by the session identity guarantee).
-        out.result = SessionResult{};
-        out.result.graphlets = core::SegmentTrace(
-            a.trace->store, options_.session.segmenter.segmentation);
-      }
-    }
-    if (a.trace != nullptr && a.truncated > 0) {
-      out.quarantined_graphlets = core::DropTruncatedGraphlets(
-          a.trace->store, out.result.graphlets);
-    }
-  }
-
-  const ShardRouterOptions& options_;
-  const size_t shard_;
-  std::vector<ShardPipelineResult>* slots_;
-  const metadata::TraceValidator validator_;
-  std::optional<Active> active_;
-};
-
-/// Router-side sink: copies each fed record into the owning shard's
-/// queue, applying the backpressure policy. Control envelopes
-/// (kBegin/kEnd) never go through here — they always block, because
-/// dropping them would desynchronize the shard's pipeline framing.
-class QueueSink : public sim::ProvenanceSink {
- public:
-  QueueSink(common::SpscQueue<Envelope>& queue, uint32_t slot,
-            BackpressurePolicy policy, RouterStats& stats)
-      : queue_(queue), slot_(slot), policy_(policy), stats_(stats) {}
+  FeedSink(Session& session, uint64_t skip, bool drop_span_stats)
+      : session_(session), skip_(skip), drop_span_stats_(drop_span_stats) {}
 
   void OnRecord(const sim::ProvenanceRecord& record) override {
-    if (shedding_) {
-      ++stats_.shed_records;
+    if (!status.ok()) return;
+    if (skip_ > 0) {
+      --skip_;
+    } else if (status = Ingest(record); !status.ok()) {
       return;
     }
-    Envelope env;
-    env.kind = Envelope::Kind::kRecord;
-    env.slot = slot_;
-    env.record = record;
-    if (record.span_stats != nullptr) {
-      env.span_stats = *record.span_stats;
-      env.record.span_stats = nullptr;
-    }
-    if (queue_.TryPush(env)) {
-      ++stats_.routed;
-      stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
-      return;
-    }
-    if (policy_ == BackpressurePolicy::kShed) {
-      shedding_ = true;
-      ++stats_.shed_records;
-      return;
-    }
-    ++stats_.stalls;  // one episode, however long the wait
-    Backoff backoff;
-    while (!queue_.TryPush(env)) backoff.Pause();
-    ++stats_.routed;
+    ++records;
   }
 
-  bool shedding() const { return shedding_; }
+  common::Status status;
+  uint64_t records = 0;
 
  private:
-  common::SpscQueue<Envelope>& queue_;
-  const uint32_t slot_;
-  const BackpressurePolicy policy_;
-  RouterStats& stats_;
-  bool shedding_ = false;
+  common::Status Ingest(const sim::ProvenanceRecord& record) {
+    if (!drop_span_stats_ || record.span_stats == nullptr) {
+      return session_.Ingest(record);
+    }
+    sim::ProvenanceRecord bare = record;
+    bare.span_stats = nullptr;
+    return session_.Ingest(bare);
+  }
+
+  Session& session_;
+  uint64_t skip_;
+  const bool drop_span_stats_;
 };
 
-/// Blocking push for control envelopes.
-void PushControl(common::SpscQueue<Envelope>& queue, Envelope& env,
-                 RouterStats& stats) {
-  if (queue.TryPush(env)) return;
-  ++stats.stalls;
-  Backoff backoff;
-  while (!queue.TryPush(env)) backoff.Pause();
+template <typename Session>
+common::StatusOr<SessionResult> FeedAndFinish(const sim::PipelineTrace& trace,
+                                              Session& session, uint64_t skip,
+                                              bool drop_span_stats,
+                                              uint64_t& records) {
+  FeedSink<Session> sink(session, skip, drop_span_stats);
+  sim::ProvenanceFeeder(&sink).Finish(trace);
+  records = sink.records;
+  if (!sink.status.ok()) return sink.status;
+  return session.Finish();
 }
 
-/// Registry flush (PR 6 plane): cheap enough to run at every pipeline
-/// boundary so `obs_top` sees the run move, not just its final totals.
-void FlushStats(const RouterStats& stats, RouterStats& flushed) {
-  MLPROV_COUNTER_ADD("shard.records", stats.routed - flushed.routed);
-  MLPROV_COUNTER_ADD("shard.backpressure_stalls",
-                     stats.stalls - flushed.stalls);
-  MLPROV_COUNTER_ADD("shard.shed_records",
-                     stats.shed_records - flushed.shed_records);
-  MLPROV_GAUGE_SET("shard.queue_depth",
-                   static_cast<double>(stats.queue_peak));
-  flushed = stats;
+/// Walks an MLPB blob with the zero-copy cursor into a fresh session.
+/// RecordRef views borrow cursor-internal scratch that the next record
+/// overwrites, so the walk stays on the calling thread.
+common::StatusOr<SessionResult> WalkBlob(std::string_view data,
+                                         const SessionOptions& options,
+                                         uint64_t& records) {
+  auto cursor = metadata::BinaryStoreCursor::Open(data);
+  if (!cursor.ok()) return cursor.status();
+  ProvenanceSession session(options);
+  metadata::RecordRef record;
+  while (cursor->Next(&record)) {
+    MLPROV_RETURN_IF_ERROR(session.Ingest(record));
+    ++records;
+  }
+  MLPROV_RETURN_IF_ERROR(cursor->status());
+  return session.Finish();
 }
 
-common::Status ValidateOptions(const ShardRouterOptions& options) {
+/// Opens the pipeline's plain or durable session, feeds it and finishes
+/// it. Durable sessions journal under "<wal_dir>/shard<k>/p<id>".
+common::StatusOr<SessionResult> RunSession(const ShardRouterOptions& options,
+                                           const WorkItem& item, size_t shard,
+                                           uint64_t& records) {
+  const SessionOptions session =
+      MakeSessionOptions(options, shard, item.pipeline_id);
+  if (item.binary != nullptr) {
+    return WalkBlob(item.binary->data, session, records);
+  }
+  if (options.wal_dir.empty()) {
+    // Span statistics are read only by the scorer's featurizer. An
+    // unscored session that dies with this call never reads its copy,
+    // which is most of a large pipeline's session memory.
+    ProvenanceSession plain(session);
+    return FeedAndFinish(*item.trace, plain, 0,
+                         /*drop_span_stats=*/session.scorer == nullptr,
+                         records);
+  }
+  DurableOptions durable;
+  durable.wal.dir = options.wal_dir + "/shard" + std::to_string(shard) +
+                    "/p" + std::to_string(item.pipeline_id);
+  durable.wal.sync = options.wal_sync;
+  durable.checkpoint_interval = options.checkpoint_interval;
+  durable.session = session;
+  auto opened = DurableSession::Open(durable);
+  if (!opened.ok()) return opened.status();
+  return FeedAndFinish(*item.trace, *opened, opened->records(),
+                       /*drop_span_stats=*/false, records);
+}
+
+/// The loop body: one whole pipeline into its slot. Mirrors
+/// core::SegmentCorpus exactly: validate first, quarantine wholesale
+/// when the trace cannot be trusted, fall back to the batch SegmentTrace
+/// when the session fails, and drop truncated graphlets last.
+void IngestPipeline(const ShardRouterOptions& options,
+                    const metadata::TraceValidator& validator,
+                    const WorkItem& item, ShardPipelineResult& out) {
+  out.pipeline_id = item.pipeline_id;
+  out.shard = ShardOf(item.pipeline_id, options.shards);
+  size_t truncated = 0;
+  if (item.trace != nullptr) {
+    const metadata::ValidationReport report =
+        validator.Validate(item.trace->store);
+    if (report.NeedsQuarantine()) {
+      out.quarantined = true;
+      out.quarantined_graphlets =
+          core::QuarantineTrace(item.trace->store, report, out.slot);
+      return;
+    }
+    truncated = report.truncated_graphlets;
+  }
+  auto finished = RunSession(options, item, out.shard, out.records);
+  if (finished.ok()) {
+    out.result = std::move(*finished);
+  } else {
+    out.status = finished.status();
+    if (item.trace != nullptr) {
+      out.result.graphlets = core::SegmentTrace(
+          item.trace->store, options.session.segmenter.segmentation);
+    }
+  }
+  if (truncated > 0) {
+    out.quarantined_graphlets =
+        core::DropTruncatedGraphlets(item.trace->store, out.result.graphlets);
+  }
+}
+
+common::StatusOr<ShardedResult> Run(const ShardRouterOptions& options,
+                                    const std::vector<WorkItem>& items) {
   if (options.shards < 1 || options.shards > kMaxShards) {
     return common::Status::InvalidArgument(
         "shards must be in [1, " + std::to_string(kMaxShards) + "], got " +
         std::to_string(options.shards));
   }
-  if (options.queue_capacity < 2) {
-    return common::Status::InvalidArgument(
-        "queue_capacity must be at least 2, got " +
-        std::to_string(options.queue_capacity));
-  }
-  return common::Status::Ok();
-}
-
-/// Walks the work items in submission order and feeds each pipeline's
-/// whole envelope run (kBegin, records, kEnd) to its shard — through
-/// the bounded queues on the concurrent schedule, or synchronously on
-/// the sequential fallback. The two schedules share every envelope and
-/// every worker code path.
-class Router {
- public:
-  Router(const ShardRouterOptions& options,
-         std::vector<ShardPipelineResult>* slots)
-      : options_(options), worker_errors_(options.shards) {
-    workers_.reserve(options.shards);
-    for (size_t shard = 0; shard < options.shards; ++shard) {
-      workers_.emplace_back(options, shard, slots);
-    }
-  }
-
-  /// Concurrent schedule: a dedicated pool of shards + 1 threads — one
-  /// router index plus one drain index per shard, grain 1, so the
-  /// pigeonhole guarantees every index its own thread and the bounded
-  /// queues cannot deadlock (the router is index 0, claimed by the
-  /// first fetch_add, so it always runs).
-  void RunConcurrent(const std::vector<WorkItem>& items,
-                     RouterStats& stats) {
-    std::vector<std::unique_ptr<common::SpscQueue<Envelope>>> queues;
-    queues.reserve(options_.shards);
-    for (size_t shard = 0; shard < options_.shards; ++shard) {
-      queues.push_back(std::make_unique<common::SpscQueue<Envelope>>(
-          options_.queue_capacity));
-    }
-    std::exception_ptr router_error;
-    common::ThreadPool pool(static_cast<int>(options_.shards) + 1);
-    pool.ParallelFor(
-        options_.shards + 1,
-        [&](size_t index) {
-          if (index == 0) {
-            // Close every queue no matter how the router exits:
-            // consumers must always observe end-of-stream.
-            try {
-              RouteAll(items, queues, stats);
-            } catch (...) {
-              router_error = std::current_exception();
-            }
-            for (auto& queue : queues) queue->Close();
-            return;
-          }
-          // Workers never throw out of the pool body: an unclaimed
-          // index would then never drain its queue and the blocked
-          // router could deadlock. Latch and keep draining instead.
-          common::SpscQueue<Envelope>& queue = *queues[index - 1];
-          try {
-            workers_[index - 1].Drain(queue);
-          } catch (...) {
-            worker_errors_[index - 1] = std::current_exception();
-            Envelope env;
-            Backoff backoff;
-            for (;;) {
-              if (queue.TryPop(env)) continue;
-              if (queue.closed()) break;
-              backoff.Pause();
-            }
-          }
-        },
-        /*grain=*/1);
-    if (router_error) std::rethrow_exception(router_error);
-    for (std::exception_ptr& error : worker_errors_) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
-
-  /// Sequential schedule (used when already inside a ParallelFor body,
-  /// where pool loops run inline and a bounded queue would deadlock):
-  /// the same envelopes, handled synchronously by the same workers.
-  /// Identical results by the merge-determinism property; never stalls
-  /// or sheds.
-  void RunSequential(const std::vector<WorkItem>& items,
-                     RouterStats& stats) {
-    for (size_t slot = 0; slot < items.size(); ++slot) {
-      const WorkItem& item = items[slot];
-      const size_t shard = ShardOf(item.pipeline_id, options_.shards);
-      ShardWorker& worker = workers_[shard];
-      Envelope begin = MakeControl(Envelope::Kind::kBegin, slot, item);
-      worker.Handle(begin);
-      if (item.trace != nullptr) {
-        DirectSink sink(worker, static_cast<uint32_t>(slot), stats);
-        sim::ProvenanceFeeder feeder(&sink);
-        feeder.Finish(*item.trace);
-      }
-      Envelope end = MakeControl(Envelope::Kind::kEnd, slot, item);
-      worker.Handle(end);
-      FlushStats(stats, flushed_);
-    }
-  }
-
- private:
-  class DirectSink : public sim::ProvenanceSink {
-   public:
-    DirectSink(ShardWorker& worker, uint32_t slot, RouterStats& stats)
-        : worker_(worker), slot_(slot), stats_(stats) {}
-    void OnRecord(const sim::ProvenanceRecord& record) override {
-      Envelope env;
-      env.kind = Envelope::Kind::kRecord;
-      env.slot = slot_;
-      env.record = record;
-      if (record.span_stats != nullptr) {
-        env.span_stats = *record.span_stats;
-        env.record.span_stats = nullptr;
-      }
-      ++stats_.routed;
-      worker_.Handle(env);
-    }
-
-   private:
-    ShardWorker& worker_;
-    const uint32_t slot_;
-    RouterStats& stats_;
-  };
-
-  static Envelope MakeControl(Envelope::Kind kind, size_t slot,
-                              const WorkItem& item, bool shed = false) {
-    Envelope env;
-    env.kind = kind;
-    env.slot = static_cast<uint32_t>(slot);
-    env.pipeline_id = item.pipeline_id;
-    env.trace = item.trace;
-    env.binary = item.binary;
-    env.shed = shed;
-    return env;
-  }
-
-  void RouteAll(
-      const std::vector<WorkItem>& items,
-      std::vector<std::unique_ptr<common::SpscQueue<Envelope>>>& queues,
-      RouterStats& stats) {
-    for (size_t slot = 0; slot < items.size(); ++slot) {
-      const WorkItem& item = items[slot];
-      const size_t shard = ShardOf(item.pipeline_id, options_.shards);
-      common::SpscQueue<Envelope>& queue = *queues[shard];
-      Envelope begin = MakeControl(Envelope::Kind::kBegin, slot, item);
-      PushControl(queue, begin, stats);
-      bool shed = false;
-      if (item.trace != nullptr) {
-        QueueSink sink(queue, static_cast<uint32_t>(slot),
-                       options_.backpressure, stats);
-        sim::ProvenanceFeeder feeder(&sink);
-        feeder.Finish(*item.trace);
-        shed = sink.shedding();
-      }
-      Envelope end = MakeControl(Envelope::Kind::kEnd, slot, item, shed);
-      PushControl(queue, end, stats);
-      if (shed) ++stats.shed_pipelines;
-      FlushStats(stats, flushed_);
-    }
-  }
-
-  const ShardRouterOptions& options_;
-  std::vector<ShardWorker> workers_;
-  std::vector<std::exception_ptr> worker_errors_;
-  RouterStats flushed_;
-};
-
-common::StatusOr<ShardedResult> Run(const ShardRouterOptions& options,
-                                    const std::vector<WorkItem>& items) {
-  const common::Status valid = ValidateOptions(options);
-  if (!valid.ok()) return valid;
   ShardedResult result;
   result.shards = options.shards;
   result.pipelines.resize(items.size());
-  RouterStats stats;
-  Router router(options, &result.pipelines);
-  // One shard (or a reentrant call) needs no concurrency: the
-  // sequential schedule produces identical results without queue
-  // overhead.
-  if (options.shards == 1 || common::InParallelRegion()) {
-    router.RunSequential(items, stats);
-  } else {
-    router.RunConcurrent(items, stats);
-  }
-  result.records = stats.routed;
-  result.backpressure_stalls = stats.stalls;
-  result.shed_records = stats.shed_records;
-  result.shed_pipelines = stats.shed_pipelines;
-  result.queue_depth_peak = stats.queue_peak;
-  MLPROV_COUNTER_ADD("shard.pipelines", items.size());
-  // Parity with core::SegmentCorpus: the quarantine tally lands on the
-  // same counter, sequentially after the join so it is exact.
+  const metadata::TraceValidator validator;
+  // Each body writes only its own slot. Grain 1: trace sizes vary by
+  // orders of magnitude across the corpus.
+  common::ParallelFor(
+      items.size(),
+      [&](size_t slot) {
+        result.pipelines[slot].slot = slot;
+        IngestPipeline(options, validator, items[slot],
+                       result.pipelines[slot]);
+      },
+      /*grain=*/1);
+  // Tallies are sequential (after the join) so they are exact and
+  // thread-count independent; quarantines land on the same counter as
+  // core::SegmentCorpus's.
   size_t quarantined = 0;
   for (const ShardPipelineResult& p : result.pipelines) {
+    result.records += p.records;
     quarantined += p.quarantined_graphlets;
   }
+  MLPROV_COUNTER_ADD("shard.records", result.records);
+  MLPROV_COUNTER_ADD("shard.pipelines", items.size());
   if (quarantined > 0) MLPROV_COUNTER_ADD("trace.quarantined", quarantined);
   return result;
 }
 
 }  // namespace
-
-const char* ToString(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock:
-      return "block";
-    case BackpressurePolicy::kShed:
-      return "shed";
-  }
-  return "unknown";
-}
-
-common::StatusOr<BackpressurePolicy> ParseBackpressurePolicy(
-    std::string_view text) {
-  if (text == "block") return BackpressurePolicy::kBlock;
-  if (text == "shed") return BackpressurePolicy::kShed;
-  return common::Status::InvalidArgument(
-      "unknown backpressure policy \"" + std::string(text) +
-      "\"; expected block|shed");
-}
 
 core::SegmentedCorpus ShardedResult::ToSegmentedCorpus() const {
   core::SegmentedCorpus segmented;

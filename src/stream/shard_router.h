@@ -2,31 +2,22 @@
 #define MLPROV_STREAM_SHARD_ROUTER_H_
 
 /// Sharded multi-session provenance service: the scale-out layer over
-/// ProvenanceSession. A router hashes each pipeline's id (FNV-1a —
-/// stable across runs, processes, and shard-count changes modulo the
-/// shard count itself) onto N shard workers; each worker owns the
-/// sessions of the pipelines routed to it and drains a bounded SPSC
-/// queue fed by the router, so N pipelines ingest concurrently on one
-/// ThreadPool (common/parallel). A deterministic merge layer reassembles
-/// the corpus-level segmentation, ScoreDecisions, and waste accounting
-/// byte-identical to a single-session replay of every pipeline — at any
-/// shard and thread count. See DESIGN.md "Sharded provenance service"
-/// for the routing invariant, the queue/backpressure semantics, and the
+/// ProvenanceSession. Every pipeline of a corpus is ingested whole, in
+/// straight-line code, by one body of a common::ParallelFor over the
+/// submission slots on the global pool, so concurrency is --threads, as
+/// for every other per-pipeline fold. A deterministic merge layer
+/// reassembles the corpus-level segmentation, ScoreDecisions, and waste
+/// accounting byte-identical to a single-session replay of every
+/// pipeline, at any shard and thread count. See DESIGN.md "Sharded
+/// provenance service" for the routing invariant and the
 /// merge-determinism argument.
 ///
 /// Sharding unit: the *pipeline*, never the record. The feed-order
 /// contract (simulator/provenance_sink.h) defines a per-pipeline record
-/// order, so one pipeline's feed must land on exactly one session;
-/// hashing pipeline ids gives every record of a pipeline the same shard
-/// without any coordination.
-///
-/// Backpressure: each shard queue is bounded. kBlock (default) makes
-/// the router wait for space — lossless and deterministic, with stall
-/// episodes counted in "shard.backpressure_stalls". kShed abandons the
-/// *rest of the overloaded pipeline* at the first full queue (a half-fed
-/// session is not finishable, so shedding is pipeline-granular), with
-/// exact accounting; shed slots are excluded from the merge and the
-/// merged output is then a documented subset, not a replica.
+/// order, so one pipeline's feed must land on exactly one session.
+/// Hashing the pipeline id (ShardOf) picks two things only: the slot's
+/// `shard` tag and, in durable mode, the per-shard WAL layout
+/// "<wal_dir>/shard<k>/p<id>".
 
 #include <cstddef>
 #include <cstdint>
@@ -62,33 +53,18 @@ constexpr size_t ShardOf(int64_t pipeline_id, size_t shards) {
                                                static_cast<uint64_t>(shards));
 }
 
-/// What the router does when a shard queue is full (--backpressure=).
-enum class BackpressurePolicy : uint8_t {
-  kBlock = 0,  // wait for space: lossless, deterministic
-  kShed = 1,   // abandon the rest of the overloaded pipeline
-};
-
-const char* ToString(BackpressurePolicy policy);
-common::StatusOr<BackpressurePolicy> ParseBackpressurePolicy(
-    std::string_view text);
-
 struct ShardRouterOptions {
-  /// Number of independent shard workers (sessions partitions). The
-  /// service runs on a ThreadPool of shards + 1 threads (workers plus
-  /// the router).
+  /// Number of shards the pipeline space is partitioned into. Picks each
+  /// slot's `shard` tag and the durable WAL layout; concurrency is the
+  /// global --threads knob (common::GlobalThreads), not this.
   size_t shards = 1;
-  /// Per-shard SPSC queue capacity in records (rounded up to a power of
-  /// two). Small enough to bound memory, large enough that the router
-  /// rarely stalls when shards keep up.
-  size_t queue_capacity = 1024;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Per-pipeline session template. `segmenter`/`scorer` apply to every
   /// session (the scorer is borrowed const state, shared across shards).
   /// `name` prefixes per-pipeline session names ("<name>.s<shard>.p<id>")
   /// and thus health-gauge families; empty (default) keeps sessions
   /// unnamed so a large corpus does not flood the registry.
   SessionOptions session;
-  /// Non-empty makes every session durable (PR 8): pipeline `id` routed
+  /// Non-empty makes every session durable: pipeline `id` routed
   /// to shard `k` journals under "<wal_dir>/shard<k>/p<id>" — one WAL +
   /// checkpoint directory per session, so shards never contend on a log
   /// and a crashed shard recovers independently.
@@ -109,13 +85,12 @@ struct ShardPipelineResult {
   /// graphlets dropped after segmentation.
   size_t quarantined_graphlets = 0;
   bool quarantined = false;
-  /// kShed only: the pipeline was abandoned on a full queue; `result`
-  /// is empty and the slot is excluded from the merge.
-  bool shed = false;
+  /// Records the session acknowledged (a recovered durable session
+  /// counts the records its WAL/checkpoint replay already applied).
   uint64_t records = 0;
-  /// Not OK when the session poisoned (the slot then carries the
-  /// SegmentTrace fallback, exactly like SegmentCorpus) or a durable
-  /// open/finish failed (the slot is then empty).
+  /// Not OK when the session could not be opened, poisoned, or failed
+  /// to finish. A trace slot then carries the SegmentTrace fallback,
+  /// exactly like SegmentCorpus; a binary slot stays empty.
   common::Status status;
 };
 
@@ -125,17 +100,15 @@ struct ShardPipelineResult {
 struct ShardedResult {
   std::vector<ShardPipelineResult> pipelines;
   size_t shards = 0;
+  /// Sum of the slots' records, on the corpus and the binary path.
   uint64_t records = 0;
-  /// Router stall episodes (kBlock) over the whole run.
+  /// Always 0: the service has no queues, so it never stalls and has no
+  /// depth. Kept only because the benchmark still reads them.
   uint64_t backpressure_stalls = 0;
-  /// kShed casualties.
-  uint64_t shed_records = 0;
-  size_t shed_pipelines = 0;
-  /// Highest queue depth the router observed while pushing.
   size_t queue_depth_peak = 0;
 
   /// Corpus-level segmentation, byte-identical to core::SegmentCorpus
-  /// over the same corpus and options (shed slots stay empty).
+  /// over the same corpus and options.
   core::SegmentedCorpus ToSegmentedCorpus() const;
   /// All settled decisions, concatenated in slot order.
   std::vector<ScoreDecision> MergedDecisions() const;
@@ -152,30 +125,28 @@ struct ShardedResult {
 ///   ShardedProvenanceService service(options);
 ///   auto result = service.IngestCorpus(corpus);
 ///
-/// IngestCorpus routes every pipeline of the corpus through the shard
-/// fleet and blocks until the merge is complete. IngestBinary does the
-/// same for serialized MLPB pipelines: each blob is routed whole and the
-/// owning shard walks a BinaryStoreCursor over it locally, so the
-/// zero-copy ingest path shards too (cursor views never cross threads —
-/// they borrow cursor-internal scratch that the next record overwrites).
+/// IngestCorpus ingests every pipeline of the corpus and blocks until
+/// the merge is complete. IngestBinary does the same for serialized MLPB
+/// pipelines: each blob's BinaryStoreCursor is walked inside the loop
+/// body that owns the pipeline, so cursor views never cross threads
+/// (they borrow cursor-internal scratch that the next record
+/// overwrites).
 ///
-/// Reentrancy: when called from inside a ParallelFor body (the pool
-/// would run the router and its consumers inline, deadlocking a bounded
-/// queue), the service detects it (common::InParallelRegion) and runs
-/// the identical per-pipeline schedule sequentially — same results, by
-/// the merge-determinism property.
+/// Reentrancy: called from inside a ParallelFor body, the fold runs
+/// inline and sequentially (ParallelFor inlines nested loops), with the
+/// same results by the merge-determinism property.
 class ShardedProvenanceService {
  public:
   explicit ShardedProvenanceService(const ShardRouterOptions& options)
       : options_(options) {}
 
-  /// Routes and ingests every pipeline trace; fails fast on invalid
-  /// options (shards out of [1, 256], queue_capacity < 2). Per-pipeline
-  /// failures do not abort the run — they are reported in the slots.
+  /// Ingests every pipeline trace; fails fast on invalid options
+  /// (shards out of [1, 256]). Per-pipeline failures do not abort the
+  /// run — they are reported in the slots.
   common::StatusOr<ShardedResult> IngestCorpus(const sim::Corpus& corpus);
 
   /// A serialized pipeline for the sharded zero-copy path: the id must
-  /// accompany the blob because routing happens before decoding.
+  /// accompany the blob because the shard is picked before decoding.
   struct BinaryPipeline {
     int64_t pipeline_id = 0;
     std::string_view data;  // MLPB blob, borrowed for the call

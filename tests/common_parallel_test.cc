@@ -230,77 +230,5 @@ TEST(ThreadsFromFlagsTest, CustomFlagName) {
   EXPECT_EQ(*threads, 3);
 }
 
-TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(1000).capacity(), 1024u);
-}
-
-TEST(SpscQueueTest, FifoOrderAndFullEmptySemantics) {
-  SpscQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(queue.TryPush(v)) << i;
-  }
-  int overflow = 99;
-  EXPECT_FALSE(queue.TryPush(overflow));  // full
-  EXPECT_EQ(queue.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    ASSERT_TRUE(queue.TryPop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(queue.TryPop(out));  // empty
-}
-
-TEST(SpscQueueTest, CloseStopsPushesButDrainsBufferedItems) {
-  SpscQueue<int> queue(4);
-  int v = 7;
-  ASSERT_TRUE(queue.TryPush(v));
-  queue.Close();
-  int rejected = 8;
-  EXPECT_FALSE(queue.TryPush(rejected));
-  EXPECT_TRUE(queue.closed());
-  int out = 0;
-  ASSERT_TRUE(queue.TryPop(out));  // buffered item survives the close
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(queue.TryPop(out));
-}
-
-TEST(SpscQueueTest, TransfersEveryItemAcrossThreads) {
-  // One producer, one consumer, a ring much smaller than the stream:
-  // every value must arrive exactly once and in order.
-  constexpr int kItems = 100000;
-  SpscQueue<int> queue(64);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      int v = i;
-      while (!queue.TryPush(v)) std::this_thread::yield();
-    }
-    queue.Close();
-  });
-  int expected = 0;
-  for (;;) {
-    int out = -1;
-    if (queue.TryPop(out)) {
-      ASSERT_EQ(out, expected);
-      ++expected;
-      continue;
-    }
-    if (queue.closed()) {
-      while (queue.TryPop(out)) {
-        ASSERT_EQ(out, expected);
-        ++expected;
-      }
-      break;
-    }
-    std::this_thread::yield();
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
-
 }  // namespace
 }  // namespace mlprov::common
