@@ -1,10 +1,13 @@
 // Microbenchmarks for the from-scratch ML substrate: CART, random forest,
-// logistic regression, and GBDT fit/predict throughput.
+// logistic regression, and GBDT fit/predict throughput. The forest fit is
+// swept over thread counts, since its trees are fitted in parallel.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <set>
 
 #include "bench/micro_common.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
@@ -55,13 +58,26 @@ void BM_RandomForestFit(benchmark::State& state) {
   const ml::Dataset data = MakeData(2000, 20, 7);
   ml::RandomForest::Options options;
   options.num_trees = static_cast<int>(state.range(0));
+  const int previous_threads = common::GlobalThreads();
+  common::SetGlobalThreads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     ml::RandomForest forest(options);
     forest.Fit(data);
     benchmark::DoNotOptimize(forest.NumTrees());
   }
+  common::SetGlobalThreads(previous_threads);
 }
-BENCHMARK(BM_RandomForestFit)->Arg(10)->Arg(40);
+/// Tree counts x the fit's thread axis: 1, 2, 4 and every hardware thread.
+void RandomForestFitArgs(benchmark::internal::Benchmark* b) {
+  const std::set<int> threads = {1, 2, 4, common::HardwareThreads()};
+  for (const int trees : {10, 40}) {
+    for (const int t : threads) b->Args({trees, t});
+  }
+}
+BENCHMARK(BM_RandomForestFit)
+    ->Apply(RandomForestFitArgs)
+    ->ArgNames({"trees", "threads"})
+    ->UseRealTime();
 
 void BM_RandomForestPredict(benchmark::State& state) {
   const ml::Dataset data = MakeData(2000, 20, 9);

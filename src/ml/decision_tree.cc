@@ -160,11 +160,7 @@ double DecisionTree::Predict(const double* features) const {
 }
 
 double DecisionTree::Predict(const Dataset& data, size_t row) const {
-  std::vector<double> features(data.NumFeatures());
-  for (size_t f = 0; f < features.size(); ++f) {
-    features[f] = data.Feature(row, f);
-  }
-  return Predict(features.data());
+  return Predict(data.Row(row));
 }
 
 int DecisionTree::Depth() const {

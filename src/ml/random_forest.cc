@@ -1,7 +1,10 @@
 #include "ml/random_forest.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "common/parallel.h"
 
 namespace mlprov::ml {
 
@@ -39,43 +42,70 @@ void RandomForest::Fit(const Dataset& data,
                         !negatives.empty();
   const auto sample_size = static_cast<size_t>(
       std::max(1.0, options_.subsample * static_cast<double>(rows.size())));
-
-  trees_.reserve(static_cast<size_t>(options_.num_trees));
-  std::vector<size_t> bootstrap;
-  bootstrap.reserve(sample_size);
-  for (int t = 0; t < options_.num_trees; ++t) {
+  const auto draw_bootstrap = [&](common::Rng& draws,
+                                  std::vector<size_t>& bootstrap) {
     bootstrap.clear();
+    bootstrap.reserve(sample_size);
     if (balanced) {
       // Balanced bootstrap: equal expected mass per class.
       for (size_t i = 0; i < sample_size; ++i) {
         const auto& side = (i % 2 == 0) ? positives : negatives;
         bootstrap.push_back(
-            side[static_cast<size_t>(rng.NextUint64(side.size()))]);
+            side[static_cast<size_t>(draws.NextUint64(side.size()))]);
       }
     } else {
       for (size_t i = 0; i < sample_size; ++i) {
         bootstrap.push_back(
-            rows[static_cast<size_t>(rng.NextUint64(rows.size()))]);
+            rows[static_cast<size_t>(draws.NextUint64(rows.size()))]);
       }
     }
-    DecisionTree tree(tree_options);
-    common::Rng tree_rng = rng.Fork();
-    tree.Fit(data, bootstrap, /*targets=*/nullptr, tree_rng);
-    trees_.push_back(std::move(tree));
+  };
+
+  // Sequential phase: walk the forest's generator in tree order — tree
+  // t's bootstrap draws, then its Fork — keeping only the generator state
+  // at the start of each tree's draws and the forked tree generator
+  // (64 bytes per tree), not the bootstraps themselves.
+  struct TreeStreams {
+    common::Rng bootstrap;
+    common::Rng tree;
+  };
+  const auto num_trees = static_cast<size_t>(std::max(0, options_.num_trees));
+  std::vector<TreeStreams> streams;
+  streams.reserve(num_trees);
+  std::vector<size_t> bootstrap;
+  for (size_t t = 0; t < num_trees; ++t) {
+    const common::Rng start = rng;
+    draw_bootstrap(rng, bootstrap);
+    streams.push_back({start, rng.Fork()});
   }
+
+  // Parallel phase: each tree redraws its bootstrap from its recorded
+  // state and fits into its own slot. DecisionTree::Fit reads only the
+  // data, its bootstrap and its generator, so the forest is bit-identical
+  // to the tree-by-tree loop at every thread count.
+  trees_.assign(num_trees, DecisionTree(tree_options));
+  common::ParallelFor(
+      num_trees,
+      [&](size_t t) {
+        std::vector<size_t> tree_bootstrap;
+        draw_bootstrap(streams[t].bootstrap, tree_bootstrap);
+        trees_[t].Fit(data, tree_bootstrap, /*targets=*/nullptr,
+                      streams[t].tree);
+      },
+      /*grain=*/1);
+}
+
+double RandomForest::PredictProba(const double* features) const {
+  assert(!trees_.empty());
+  double total = 0.0;
+  for (const DecisionTree& tree : trees_) {
+    total += tree.Predict(features);
+  }
+  return total / static_cast<double>(trees_.size());
 }
 
 double RandomForest::PredictProba(const Dataset& data, size_t row) const {
-  assert(!trees_.empty());
-  std::vector<double> features(data.NumFeatures());
-  for (size_t f = 0; f < features.size(); ++f) {
-    features[f] = data.Feature(row, f);
-  }
-  double total = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    total += tree.Predict(features.data());
-  }
-  return total / static_cast<double>(trees_.size());
+  return PredictProba(data.Row(row));
 }
 
 std::vector<double> RandomForest::PredictProba(const Dataset& data) const {

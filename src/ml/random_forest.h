@@ -32,11 +32,16 @@ class RandomForest {
 
   explicit RandomForest(const Options& options) : options_(options) {}
 
-  /// Fits on all rows of `data`.
+  /// Fits on all rows of `data`. Trees are fitted in parallel on the
+  /// global pool (common::ParallelFor); the forest is bit-identical at
+  /// every thread count.
   void Fit(const Dataset& data);
   /// Fits on a subset of rows.
   void Fit(const Dataset& data, const std::vector<size_t>& rows);
 
+  /// Positive-class probability for one row given as the fitted
+  /// dataset's feature columns, in order.
+  double PredictProba(const double* features) const;
   /// Positive-class probability for one row of `data`.
   double PredictProba(const Dataset& data, size_t row) const;
   /// Probabilities for all rows.

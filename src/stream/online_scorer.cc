@@ -1,8 +1,7 @@
 #include "stream/online_scorer.h"
 
-#include <utility>
-
-#include "ml/dataset.h"
+#include <string>
+#include <vector>
 
 namespace mlprov::stream {
 
@@ -33,8 +32,13 @@ common::StatusOr<OnlineScorer> OnlineScorer::Train(
   const core::WasteMitigation mitigation(&dataset, options.mitigation);
   for (size_t v = 0; v < kStreamingVariants.size(); ++v) {
     scorer.variants_[v] = mitigation.Train(kStreamingVariants[v]);
-    for (size_t col : scorer.variants_[v].columns) {
-      scorer.projected_names_[v].push_back(schema.names[col]);
+    if (!scorer.variants_[v].forest.IsFitted()) {
+      return common::Status::InvalidArgument(
+          "OnlineScorer::Train: " +
+          std::string(core::ToString(kStreamingVariants[v])) +
+          " has no trees: the grouped split left " +
+          std::to_string(mitigation.train_rows().size()) +
+          " training rows of " + std::to_string(dataset.data.NumRows()));
     }
   }
   return scorer;
@@ -44,13 +48,14 @@ double OnlineScorer::Score(core::Variant variant,
                            const std::vector<double>& row) const {
   const size_t v = static_cast<size_t>(variant);
   const core::TrainedVariant& trained = variants_[v];
-  std::vector<double> projected(trained.columns.size());
+  // One projection buffer per thread: sessions score concurrently, and
+  // after the first call per thread scoring allocates nothing.
+  thread_local std::vector<double> projected;
+  projected.resize(trained.columns.size());
   for (size_t j = 0; j < trained.columns.size(); ++j) {
     projected[j] = row[trained.columns[j]];
   }
-  ml::Dataset single(projected_names_[v]);
-  single.AddRow(projected, /*label=*/0);
-  return trained.forest.PredictProba(single, 0);
+  return trained.forest.PredictProba(projected.data());
 }
 
 double OnlineScorer::Threshold(core::Variant variant) const {

@@ -89,7 +89,8 @@ class OnlineScorer {
   /// Trains the three streaming variants on a batch dataset (the warm-up
   /// corpus) with WasteMitigation's grouped split, so thresholds are
   /// chosen exactly like Table 3's. Fails with InvalidArgument on an
-  /// empty dataset or a non-streaming policy variant.
+  /// empty dataset, an empty training split (e.g. one pipeline, which the
+  /// split puts on the test side), or a non-streaming policy variant.
   static common::StatusOr<OnlineScorer> Train(
       const core::WasteDataset& dataset,
       const OnlineScorerOptions& options = {});
@@ -110,8 +111,6 @@ class OnlineScorer {
 
   OnlineScorerOptions options_;
   std::array<core::TrainedVariant, 3> variants_;
-  /// Projected feature names per variant (single-row scoring datasets).
-  std::array<std::vector<std::string>, 3> projected_names_;
 };
 
 }  // namespace mlprov::stream

@@ -97,6 +97,21 @@ TEST_F(StreamScorerTest, TrainRejectsBadInputs) {
             common::StatusCode::kInvalidArgument);
 }
 
+TEST_F(StreamScorerTest, TrainRejectsEmptyTrainingSplit) {
+  // The grouped 80/20 split sends a lone row to the test side, so every
+  // forest would be fitted on nothing and score 0/0.
+  core::WasteDataset one_row = *dataset_;
+  one_row.data = dataset_->data.Subset({0});
+  one_row.total_cost = {dataset_->total_cost[0]};
+  for (size_t s = 0; s < one_row.stage_cost.size(); ++s) {
+    one_row.stage_cost[s] = {dataset_->stage_cost[s][0]};
+  }
+  one_row.num_pipelines = 1;
+  const auto scorer = OnlineScorer::Train(one_row);
+  EXPECT_EQ(scorer.status().code(), common::StatusCode::kInvalidArgument)
+      << scorer.status();
+}
+
 TEST_F(StreamScorerTest, EveryGraphletGetsOneSettledDecision) {
   auto scorer = OnlineScorer::Train(*dataset_);
   ASSERT_TRUE(scorer.ok()) << scorer.status();
