@@ -54,10 +54,11 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // Index-backed interactive queries: builds the provenance index over
-// the store (CatchUp — the one-time cost a streaming session amortizes
-// record by record), answers --query through core::TraceQuery with
+// the store (CatchUp — the one-time cost a streaming session pays on
+// its first Query()), answers --query through core::TraceQuery with
 // wall-clock reporting against the TraceView BFS recompute, and prints
-// the index's footprint and validation snapshot under --index_stats.
+// the index's footprint and the store's validation summary under
+// --index_stats.
 // Returns the process exit code (2 on a malformed --query).
 int RunIndexedQueries(const metadata::MetadataStore& store,
                       const common::Flags& flags) {
@@ -73,9 +74,11 @@ int RunIndexedQueries(const metadata::MetadataStore& store,
     std::printf("index: built in %.0fus; %.1f KiB of labels over %zu "
                 "executions, %zu trainer(s)\n",
                 build_us, static_cast<double>(index.label_bytes()) / 1024.0,
-                index.num_indexed_executions(), index.num_trainers());
-    std::printf("index validation snapshot: %s\n\n",
-                index.ValidationSnapshot().Summary().c_str());
+                index.num_indexed_executions(),
+                store.ExecutionsOfType(metadata::ExecutionType::kTrainer)
+                    .size());
+    std::printf("validation: %s\n\n",
+                metadata::TraceValidator().Validate(store).Summary().c_str());
   }
 
   std::string spec = flags.GetString("query", "");

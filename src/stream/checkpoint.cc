@@ -100,6 +100,24 @@ bool ReadGraphlet(walwire::Cursor& in, core::Graphlet* g) {
   return true;
 }
 
+/// True when every id `ids` holds names a node of a store with `count`
+/// such nodes (dense 1-based ids).
+bool IdsInRange(const std::vector<int64_t>& ids, size_t count) {
+  return std::all_of(ids.begin(), ids.end(), [count](int64_t id) {
+    return id >= 1 && static_cast<uint64_t>(id) <= count;
+  });
+}
+
+/// True when the graphlet's member ids all exist in `store`. A payload
+/// that passes its CRC is still untrusted, and restore indexes
+/// membership vectors (and later the store) by these ids.
+bool GraphletInStore(const core::Graphlet& g,
+                     const metadata::MetadataStore& store) {
+  return IdsInRange(g.executions, store.num_executions()) &&
+         IdsInRange(g.artifacts, store.num_artifacts()) &&
+         IdsInRange(g.input_spans, store.num_artifacts());
+}
+
 void AppendRunningStats(std::string& out, const common::RunningStats& s) {
   AppendVarint(out, s.count());
   walwire::AppendDouble(out, s.mean());
@@ -246,12 +264,19 @@ common::Status StreamingSegmenter::RestoreState(std::string_view payload) {
         !ReadGraphlet(in, &cell.graphlet)) {
       return Corrupt("cell " + std::to_string(i));
     }
+    if (!IdsInRange({cell.trainer}, store_->num_executions()) ||
+        !GraphletInStore(cell.graphlet, *store_)) {
+      return Corrupt("cell " + std::to_string(i) + " names an unknown node");
+    }
     cell.dirty = (flags & 1) != 0;
     cell.sealed = (flags & 2) != 0;
     cell.extracted_once = (flags & 4) != 0;
     restored.cells_.push_back(std::move(cell));
   }
   if (in.remaining() != 0) return Corrupt("trailing segmenter bytes");
+  for (size_t cell : restored.newly_sealed_) {
+    if (cell >= restored.cells_.size()) return Corrupt("newly-sealed cell");
+  }
 
   // Rebuild the derived structures from the cells. The membership
   // indexes reproduce exactly what incremental growth built: the trainer
@@ -393,10 +418,6 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
   counts_.executions = static_cast<size_t>(executions);
   counts_.artifacts = static_cast<size_t>(artifacts);
   counts_.events = static_cast<size_t>(events);
-  // The index is not persisted — its labels rebuild deterministically
-  // from the restored store, and they must be current before the
-  // restored segmenter extracts anything through them.
-  if (options_.enable_index) index_.CatchUp();
   std::string_view segmenter_blob;
   if (!ReadBlobView(in, &segmenter_blob)) return Corrupt("segmenter blob");
   MLPROV_RETURN_IF_ERROR(segmenter_.RestoreState(segmenter_blob));
@@ -416,7 +437,9 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
     }
     for (uint64_t i = 0; i < count; ++i) {
       core::Graphlet g;
-      if (!ReadGraphlet(in, &g)) return Corrupt("featurizer history");
+      if (!ReadGraphlet(in, &g) || !GraphletInStore(g, store_)) {
+        return Corrupt("featurizer history");
+      }
       featurizer.history.push_back(std::move(g));
     }
     uint64_t rows = 0;
@@ -454,6 +477,12 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
     decisions_.resize(static_cast<size_t>(count));
     for (ScoreDecision& decision : decisions_) {
       if (!ReadDecision(in, &decision)) return Corrupt("decision");
+    }
+    // Both arrays run parallel to the segmenter's cells (EnsureCellScoring
+    // grows them together), and Settle indexes them by cell.
+    if (decisions_.size() != cell_scoring_.size() ||
+        cell_scoring_.size() > segmenter_.num_cells()) {
+      return Corrupt("cell-scoring arrays disagree with the cells");
     }
     uint64_t decisions = 0, aborts = 0, lost = 0;
     if (!walwire::ReadVarint(in, &decisions) ||

@@ -62,10 +62,8 @@ ProvenanceSession::ProvenanceSession(const SessionOptions& options)
     : options_(options),
       flight_(options.name.empty() ? std::string("session") : options.name,
               obs::FlightRecorder::Options{options.flight_capacity}),
-      index_(&store_,
-             core::ProvenanceIndexOptions{options.segmenter.segmentation}),
+      index_(&store_),
       segmenter_(&store_, options.segmenter) {
-  if (options_.enable_index) segmenter_.AttachIndex(&index_);
   if (options_.scorer != nullptr) {
     featurizer_.emplace(&store_, &span_stats_,
                         options_.scorer->feature_options());
@@ -142,7 +140,6 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
       if (context_ != metadata::kInvalidId) {
         MLPROV_RETURN_IF_ERROR(store_.AddToContext(context_, expected));
       }
-      if (options_.enable_index) index_.OnExecution(record.execution);
       segmenter_.OnExecution(record.execution);
       ++counts_.executions;
 #ifndef MLPROV_OBS_NOOP
@@ -181,7 +178,6 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
       if (record.span_stats != nullptr) {
         span_stats_.emplace(expected, *record.span_stats);
       }
-      if (options_.enable_index) index_.OnArtifact(record.artifact);
       segmenter_.OnArtifact(record.artifact);
       ++counts_.artifacts;
       return Status::Ok();
@@ -194,7 +190,6 @@ Status ProvenanceSession::IngestImpl(const ProvenanceRecord& record) {
             std::to_string(record.event.execution) + ", artifact " +
             std::to_string(record.event.artifact) + "): " + put.message());
       }
-      if (options_.enable_index) index_.OnEvent(record.event);
       segmenter_.OnEvent(record.event);
       ++counts_.events;
       MLPROV_COUNTER_INC("stream.links");
@@ -273,9 +268,6 @@ Status ProvenanceSession::IngestImpl(const metadata::RecordRef& record) {
       if (context_ != metadata::kInvalidId) {
         MLPROV_RETURN_IF_ERROR(store_.AddToContext(context_, expected));
       }
-      if (options_.enable_index) {
-        index_.OnExecution(store_.executions().back());
-      }
       segmenter_.OnExecution(store_.executions().back());
       ++counts_.executions;
       return Status::Ok();
@@ -294,7 +286,6 @@ Status ProvenanceSession::IngestImpl(const metadata::RecordRef& record) {
         MLPROV_RETURN_IF_ERROR(
             store_.AddArtifactToContext(context_, expected));
       }
-      if (options_.enable_index) index_.OnArtifact(store_.artifacts().back());
       segmenter_.OnArtifact(store_.artifacts().back());
       ++counts_.artifacts;
       return Status::Ok();
@@ -307,7 +298,6 @@ Status ProvenanceSession::IngestImpl(const metadata::RecordRef& record) {
             std::to_string(record.event.execution) + ", artifact " +
             std::to_string(record.event.artifact) + "): " + put.message());
       }
-      if (options_.enable_index) index_.OnEvent(record.event);
       segmenter_.OnEvent(record.event);
       ++counts_.events;
       MLPROV_COUNTER_INC("stream.links");

@@ -64,13 +64,6 @@ struct SessionOptions {
   /// twice, so exactly one session per trace should opt in (the bench
   /// scoring phase, the causality tests).
   bool emit_flows = false;
-  /// Maintain an incremental core::ProvenanceIndex over the replicated
-  /// store (fed record by record, in lockstep with the segmenter). The
-  /// segmenter then extracts graphlets by decoding the index's labels
-  /// instead of BFS walks, and Query() serves interactive closure
-  /// queries without recomputation. Disable to trade query capability
-  /// for the labels' memory (~(2n + t)/8 bytes per execution).
-  bool enable_index = true;
 };
 
 /// Point-in-time health snapshot of one session — the "is this stream
@@ -182,17 +175,19 @@ class ProvenanceSession : public sim::ProvenanceSink {
   StreamingSegmenter& segmenter() { return segmenter_; }
   const StreamingSegmenter& segmenter() const { return segmenter_; }
 
-  /// The incremental provenance index over the replicated store. Behind
-  /// the store (InSync() false) when enable_index is off — CatchUp()
-  /// brings it current on demand.
+  /// The lazy provenance index over the replicated store, as of the
+  /// last Query() (empty until the first one; ingest never feeds it).
   const core::ProvenanceIndex& index() const { return index_; }
-  core::ProvenanceIndex& index() { return index_; }
 
   /// The unified query surface over this session's trace: closure /
   /// lineage / graphlet / time-window queries decoded from the index,
-  /// with the segmenter as the graphlet-membership source. Cheap to
-  /// construct per use; valid while the session lives.
+  /// with the segmenter as the graphlet-membership source. Brings the
+  /// index level with the store first: the first call pays the build,
+  /// later calls only the records ingested since. After the next Ingest
+  /// the returned query's label decodes return FailedPrecondition; call
+  /// Query() again. Not safe to call concurrently on one session.
   core::TraceQuery Query() const {
+    index_.CatchUp();
     return core::TraceQuery(&store_, &index_, &segmenter_);
   }
 
@@ -253,8 +248,10 @@ class ProvenanceSession : public sim::ProvenanceSink {
   std::vector<obs::Gauge*> health_gauges_;
   metadata::MetadataStore store_;
   std::unordered_map<metadata::ArtifactId, dataspan::SpanStats> span_stats_;
-  core::ProvenanceIndex index_;   // observes store_; declared after it
-  StreamingSegmenter segmenter_;  // observes store_ (and index_)
+  /// Observes store_ (declared after it); mutable because Query() is
+  /// const and catches it up.
+  mutable core::ProvenanceIndex index_;
+  StreamingSegmenter segmenter_;  // observes store_
   metadata::ContextId context_ = metadata::kInvalidId;
   bool finished_ = false;
   bool recovered_ = false;

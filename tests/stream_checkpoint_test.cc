@@ -10,11 +10,14 @@
 #include "common/status.h"
 #include "core/graphlet_analysis.h"
 #include "core/waste_mitigation.h"
+#include "metadata/binary_serialization.h"
 #include "simulator/corpus_generator.h"
 #include "stream/fingerprint.h"
 #include "stream/online_scorer.h"
 #include "stream/session.h"
+#include "stream/streaming_segmenter.h"
 #include "stream/supervisor.h"
+#include "stream/wal.h"
 
 namespace mlprov::stream {
 namespace {
@@ -150,6 +153,95 @@ TEST_F(StreamCheckpointTest, RestoreRequiresAFreshSession) {
   ASSERT_TRUE(used.Ingest(*source.Get(0)).ok());
   EXPECT_EQ(used.RestoreState(payload).code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// A one-cell segmenter payload hand-encoded in EncodeState's layout,
+/// so a test can plant any value in any id field. The defaults describe
+/// a sealed, extracted cell over the two-execution store below.
+struct SegmenterPayload {
+  int64_t trainer = 2;
+  std::vector<int64_t> executions = {1, 2};
+  std::vector<int64_t> artifacts = {1, 2};
+  std::vector<uint64_t> newly_sealed = {0};
+
+  std::string Encode() const {
+    using metadata::binwire::AppendSvarint;
+    using metadata::binwire::AppendVarint;
+    std::string out;
+    AppendSvarint(out, 100);                           // watermark
+    for (int i = 0; i < 5; ++i) AppendVarint(out, 1);  // stats
+    AppendVarint(out, newly_sealed.size());
+    for (uint64_t cell : newly_sealed) AppendVarint(out, cell);
+    AppendVarint(out, 1);  // cells
+    AppendSvarint(out, trainer);
+    AppendSvarint(out, 20);                 // trainer end
+    out.push_back(2 | 4);                   // sealed, extracted once
+    AppendSvarint(out, trainer);            // graphlet: anchor
+    for (const std::vector<int64_t>* ids : {&executions, &artifacts}) {
+      AppendVarint(out, ids->size());
+      for (int64_t id : *ids) AppendSvarint(out, id);
+    }
+    AppendVarint(out, 0);                   // input spans
+    AppendSvarint(out, 2);                  // model
+    out.push_back(2);                       // trainer succeeded
+    for (int i = 0; i < 4; ++i) AppendSvarint(out, 10);  // times
+    for (int i = 0; i < 3; ++i) walwire::AppendDouble(out, 1.0);  // costs
+    AppendSvarint(out, 1);                  // code version
+    out.push_back(0);                       // model type
+    AppendSvarint(out, 0);                  // architecture
+    return out;
+  }
+};
+
+TEST_F(StreamCheckpointTest, HostileIdsInACrcValidPayloadAreRejected) {
+  // A payload that passes its CRC is still untrusted: ids become
+  // membership-vector indexes, and newly-sealed entries index the
+  // session's per-cell arrays. Every out-of-range value must come back
+  // as a Status, never as a huge allocation or a wild write.
+  metadata::MetadataStore store;
+  metadata::Execution gen;
+  gen.type = metadata::ExecutionType::kExampleGen;
+  store.PutExecution(gen);
+  metadata::Execution trainer;
+  trainer.type = metadata::ExecutionType::kTrainer;
+  store.PutExecution(trainer);
+  metadata::Artifact span;
+  span.type = metadata::ArtifactType::kExamples;
+  store.PutArtifact(span);
+  metadata::Artifact model;
+  model.type = metadata::ArtifactType::kModel;
+  store.PutArtifact(model);
+
+  {
+    StreamingSegmenter segmenter(&store);
+    const common::Status ok = segmenter.RestoreState(SegmenterPayload{}.Encode());
+    ASSERT_TRUE(ok.ok()) << ok;
+    EXPECT_EQ(segmenter.num_cells(), 1u);
+  }
+  constexpr int64_t kHuge = int64_t{1} << 40;
+  std::vector<std::pair<std::string, SegmenterPayload>> cases;
+  for (int64_t bad : {kHuge, int64_t{-1}}) {
+    const std::string value = std::to_string(bad);
+    SegmenterPayload p;
+    p.trainer = bad;
+    cases.emplace_back("cell trainer " + value, p);
+    p = {};
+    p.executions = {1, bad};
+    cases.emplace_back("graphlet execution " + value, p);
+    p = {};
+    p.artifacts = {bad};
+    cases.emplace_back("graphlet artifact " + value, p);
+  }
+  SegmenterPayload past_end;
+  past_end.newly_sealed = {1};
+  cases.emplace_back("newly-sealed cell past the end", past_end);
+
+  for (const auto& [name, payload] : cases) {
+    StreamingSegmenter segmenter(&store);
+    const common::Status status = segmenter.RestoreState(payload.Encode());
+    EXPECT_FALSE(status.ok()) << name;
+    EXPECT_EQ(segmenter.num_cells(), 0u) << name;
+  }
 }
 
 TEST_F(StreamCheckpointTest, FilesRoundTripWithCrcProtection) {
