@@ -136,6 +136,8 @@ class GraphletFeaturizer {
   std::array<double, 4> StageCosts(const Graphlet& graphlet) const;
 
   size_t rows_emitted() const { return rows_; }
+  /// Length of every row Row/NextRow returns (BuildSchema's names).
+  size_t num_columns() const { return num_columns_; }
 
   /// The featurizer's replay-relevant state: the history window, the
   /// trailing similarity baselines, and the row count. The similarity

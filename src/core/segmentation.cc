@@ -1,6 +1,7 @@
 #include "core/segmentation.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/datalog.h"
 #include "obs/metrics.h"
@@ -29,13 +30,15 @@ bool IsStopType(ExecutionType type, const SegmentationOptions& options) {
   return false;
 }
 
-/// Builds the Graphlet record from the member node sets.
+/// Builds the Graphlet record from the member id lists, both ascending.
 Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
-                  const std::vector<char>& exec_in,
-                  const std::vector<char>& artifact_in,
+                  const std::vector<ExecutionId>& executions,
+                  const std::vector<ArtifactId>& artifacts,
                   const std::vector<char>& exec_is_descendant) {
   Graphlet g;
   g.trainer = trainer;
+  g.executions = executions;
+  g.artifacts = artifacts;
   const auto& trainer_exec =
       store.executions()[static_cast<size_t>(trainer) - 1];
   g.trainer_start = trainer_exec.start_time;
@@ -77,14 +80,12 @@ Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
     }
   };
 
-  for (size_t id = 1; id < exec_in.size(); ++id) {
-    if (!exec_in[id]) continue;
-    const auto eid = static_cast<ExecutionId>(id);
-    g.executions.push_back(eid);
-    const metadata::Execution& e = store.executions()[id - 1];
+  for (ExecutionId eid : executions) {
+    const metadata::Execution& e =
+        store.executions()[static_cast<size_t>(eid) - 1];
     note_time(e.start_time, e.end_time);
     if (eid == trainer) continue;
-    if (exec_is_descendant[id]) {
+    if (exec_is_descendant[static_cast<size_t>(eid)]) {
       g.post_trainer_cost += e.compute_cost;
       if (e.type == ExecutionType::kPusher && e.succeeded) {
         g.pushed = true;
@@ -93,39 +94,23 @@ Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
       g.pre_trainer_cost += e.compute_cost;
     }
   }
-  for (size_t id = 1; id < artifact_in.size(); ++id) {
-    if (!artifact_in[id]) continue;
-    const auto aid = static_cast<ArtifactId>(id);
-    g.artifacts.push_back(aid);
-    const metadata::Artifact& a = store.artifacts()[id - 1];
+  // Input spans ordered by ingestion: span property when present, else
+  // creation time, with the id as tiebreak. Each key is read once.
+  std::vector<std::pair<int64_t, ArtifactId>> spans;
+  for (ArtifactId aid : artifacts) {
+    const metadata::Artifact& a =
+        store.artifacts()[static_cast<size_t>(aid) - 1];
     note_time(a.create_time, a.create_time);
-    if (a.type == ArtifactType::kExamples) {
-      g.input_spans.push_back(aid);
+    if (a.type != ArtifactType::kExamples) continue;
+    int64_t key = a.create_time;
+    if (auto it = a.properties.find("span"); it != a.properties.end()) {
+      if (const int64_t* v = std::get_if<int64_t>(&it->second)) key = *v;
     }
+    spans.emplace_back(key, aid);
   }
-  // Order spans by ingestion: span property when present, else creation
-  // time, with the id as tiebreak.
-  std::sort(g.input_spans.begin(), g.input_spans.end(),
-            [&](ArtifactId x, ArtifactId y) {
-              const metadata::Artifact& ax =
-                  store.artifacts()[static_cast<size_t>(x) - 1];
-              const metadata::Artifact& ay =
-                  store.artifacts()[static_cast<size_t>(y) - 1];
-              int64_t sx = ax.create_time, sy = ay.create_time;
-              if (auto it = ax.properties.find("span");
-                  it != ax.properties.end()) {
-                if (const int64_t* v = std::get_if<int64_t>(&it->second)) {
-                  sx = *v;
-                }
-              }
-              if (auto it = ay.properties.find("span");
-                  it != ay.properties.end()) {
-                if (const int64_t* v = std::get_if<int64_t>(&it->second)) {
-                  sy = *v;
-                }
-              }
-              return sx != sy ? sx < sy : x < y;
-            });
+  std::sort(spans.begin(), spans.end());
+  g.input_spans.reserve(spans.size());
+  for (const auto& [key, aid] : spans) g.input_spans.push_back(aid);
   for (ArtifactId out : store.OutputsOf(trainer)) {
     if (store.artifacts()[static_cast<size_t>(out) - 1].type ==
         ArtifactType::kModel) {
@@ -144,6 +129,15 @@ Graphlet Finalize(const MetadataStore& store, ExecutionId trainer,
 }
 
 }  // namespace
+
+ConsumerRules ConsumerRulesFor(ExecutionType type,
+                               const SegmentationOptions& options) {
+  ConsumerRules rules;
+  rules.descendant =
+      type != ExecutionType::kTrainer && !IsStopType(type, options);
+  rules.analysis = IsDataAnalysisType(type);
+  return rules;
+}
 
 void GraphletExtractor::EnsureScratch(const MetadataStore& store) {
   // Grow-only scratch: the streaming segmenter extracts against a store
@@ -221,10 +215,7 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
         for (ExecutionId consumer : store.ConsumersOf(output)) {
           const ExecutionType type =
               store.executions()[static_cast<size_t>(consumer) - 1].type;
-          if (type == ExecutionType::kTrainer ||
-              IsStopType(type, options)) {
-            continue;
-          }
+          if (!ConsumerRulesFor(type, options).descendant) continue;
           if (AddExec(consumer, /*descendant=*/true)) {
             frontier.push_back(consumer);
             // Descendants contribute their other inputs as artifacts
@@ -255,7 +246,7 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
       for (ExecutionId consumer : store.ConsumersOf(cur)) {
         const ExecutionType type =
             store.executions()[static_cast<size_t>(consumer) - 1].type;
-        if (!IsDataAnalysisType(type)) continue;
+        if (!ConsumerRulesFor(type, options).analysis) continue;
         if (AddExec(consumer, /*descendant=*/false)) {
           for (ArtifactId out : store.OutputsOf(consumer)) {
             if (AddArtifact(out)) frontier.push_back(out);
@@ -268,8 +259,11 @@ Graphlet GraphletExtractor::Extract(const MetadataStore& store,
     }
   }
 
-  Graphlet g =
-      Finalize(store, trainer, exec_in_, artifact_in_, exec_is_descendant_);
+  // Ascending ids fix member order and the cost-summation order.
+  std::sort(touched_execs_.begin(), touched_execs_.end());
+  std::sort(touched_artifacts_.begin(), touched_artifacts_.end());
+  Graphlet g = Finalize(store, trainer, touched_execs_, touched_artifacts_,
+                        exec_is_descendant_);
   // Reset scratch flags for the next extraction.
   for (ExecutionId id : touched_execs_) {
     exec_in_[static_cast<size_t>(id)] = 0;
@@ -428,7 +422,15 @@ std::vector<Graphlet> SegmentTraceDatalog(
     for (const auto& t : dl.Tuples("bart")) {
       artifact_in[static_cast<size_t>(t[0] / 2)] = 1;
     }
-    graphlets.push_back(Finalize(store, trainer, exec_in, artifact_in,
+    std::vector<ExecutionId> executions;
+    for (size_t id = 1; id < exec_in.size(); ++id) {
+      if (exec_in[id]) executions.push_back(static_cast<ExecutionId>(id));
+    }
+    std::vector<ArtifactId> artifacts;
+    for (size_t id = 1; id < artifact_in.size(); ++id) {
+      if (artifact_in[id]) artifacts.push_back(static_cast<ArtifactId>(id));
+    }
+    graphlets.push_back(Finalize(store, trainer, executions, artifacts,
                                  exec_is_descendant));
   }
   return graphlets;

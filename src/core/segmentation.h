@@ -29,6 +29,23 @@ struct SegmentationOptions {
   bool cut_ancestors_at_trainers = true;
 };
 
+/// The Appendix-A rules that can admit an execution of `type` into a
+/// graphlet across one of its *input* edges, i.e. as a consumer of a
+/// member artifact. Rule (a) follows producer edges only, so it never
+/// admits a consumer. An execution neither rule admits joins a graphlet
+/// only through its own output edges or as its anchor.
+struct ConsumerRules {
+  /// Rule (c): a descendant, unless it is a Trainer or a
+  /// `descendant_stop` (`sc`) type.
+  bool descendant = false;
+  /// Rule (b): a data-analysis execution (StatisticsGen, SchemaGen,
+  /// ExampleValidator) over a member span or a derived artifact, whatever
+  /// `descendant_stop` holds.
+  bool analysis = false;
+};
+ConsumerRules ConsumerRulesFor(metadata::ExecutionType type,
+                               const SegmentationOptions& options);
+
 /// Reusable single-trainer graphlet extractor: the BFS kernel behind
 /// SegmentTrace, exposed so incremental consumers (the streaming
 /// segmenter) can re-extract one trainer's graphlet against a *growing*
@@ -52,8 +69,10 @@ class GraphletExtractor {
   bool AddArtifact(metadata::ArtifactId id);
 
   SegmentationOptions options_;
-  // Scratch bitmaps indexed by node id; reset after every extraction via
-  // the touched lists, so Extract is O(graphlet size) amortized.
+  // Scratch bitmaps indexed by node id. Extraction reads and resets them
+  // through the touched lists only (sorted, so members come out
+  // ascending), never by scanning the store: Extract costs O(k log k)
+  // for a graphlet of k nodes, whatever the store's size.
   std::vector<char> exec_in_;
   std::vector<char> artifact_in_;
   std::vector<char> exec_is_descendant_;
@@ -63,8 +82,8 @@ class GraphletExtractor {
 
 /// Extracts all model graphlets of a trace, one per Trainer execution,
 /// ordered chronologically by trainer end time (the paper's notion of
-/// consecutive graphlets). Runs in time linear in the total size of the
-/// extracted subgraphs.
+/// consecutive graphlets). Runs in time O(k log k) in the total size k
+/// of the extracted subgraphs, independent of the rest of the trace.
 std::vector<Graphlet> SegmentTrace(const metadata::MetadataStore& store,
                                    const SegmentationOptions& options = {});
 

@@ -465,6 +465,13 @@ common::Status ProvenanceSession::RestoreState(std::string_view payload) {
       scoring.early_scored = (flags & 1) != 0;
       scoring.trainer_scored = (flags & 2) != 0;
       scoring.settled = (flags & 4) != 0;
+      // An early-scored, unsettled cell holds a full-schema row that
+      // TrainerScore rewrites in place and Score reads; every other cell
+      // holds none (Settle clears it).
+      const size_t expected = scoring.early_scored && !scoring.settled
+                                  ? featurizer_->num_columns()
+                                  : 0;
+      if (row != expected) return Corrupt("scoring row length");
       scoring.row.resize(static_cast<size_t>(row));
       for (double& value : scoring.row) {
         if (!walwire::ReadDouble(in, &value)) return Corrupt("scoring row");

@@ -21,11 +21,12 @@ StreamingSegmenter::StreamingSegmenter(
           std::llround(options.seal_grace_hours *
                        static_cast<double>(metadata::kSecondsPerHour)))),
       extractor_(options.segmentation) {
-  trainer_is_descendant_stop_ =
-      std::find(options_.segmentation.descendant_stop.begin(),
-                options_.segmentation.descendant_stop.end(),
-                ExecutionType::kTrainer) !=
-      options_.segmentation.descendant_stop.end();
+  for (int t = 0; t < metadata::kNumExecutionTypes; ++t) {
+    const core::ConsumerRules rules = core::ConsumerRulesFor(
+        static_cast<ExecutionType>(t), options_.segmentation);
+    never_joins_as_consumer_[static_cast<size_t>(t)] =
+        !rules.descendant && !rules.analysis;
+  }
 }
 
 void StreamingSegmenter::OnExecution(const metadata::Execution& execution) {
@@ -56,23 +57,24 @@ void StreamingSegmenter::OnArtifact(const metadata::Artifact& artifact) {
 
 void StreamingSegmenter::OnEvent(const metadata::Event& event) {
   MarkExecIncident(event.execution);
-  // An input edge into a Trainer never changes *another* trainer's
-  // graphlet when Trainer is a descendant stop type (it is not reached
-  // as a descendant, ancestors traverse producer edges only, and the
-  // rule-(b) closure chases analysis executions only); skipping the
-  // artifact-side marking here keeps each new trainer — which consumes
-  // the whole rolling window — from dirtying every window-sharing cell.
-  // The consuming trainer's own cell was already marked above.
-  bool input_to_trainer =
-      event.kind == metadata::EventKind::kInput &&
-      trainer_is_descendant_stop_ &&
-      event.execution >= 1 &&
-      static_cast<size_t>(event.execution) <= store_->num_executions() &&
-      store_->executions()[static_cast<size_t>(event.execution) - 1].type ==
-          ExecutionType::kTrainer;
-  if (!input_to_trainer) {
-    MarkArtifactIncident(event.artifact);
+  // An input edge whose consumer no Appendix-A rule admits as a consumer
+  // (a Trainer or `descendant_stop` type that is not a data-analysis
+  // type) never changes a graphlet the consumer is not already in: rule
+  // (c) stops at it, rule (b) admits analysis types only, and rule (a)
+  // follows producer edges only. Skipping the artifact-side marking
+  // keeps each Transform and Trainer — which consume the whole rolling
+  // window of spans — from dirtying (and reopening) every older cell
+  // holding one of those spans. Cells the consumer is a member of were
+  // already marked above.
+  bool skip_artifact = false;
+  if (event.kind == metadata::EventKind::kInput && event.execution >= 1 &&
+      static_cast<size_t>(event.execution) <= store_->num_executions()) {
+    const auto type = static_cast<size_t>(
+        store_->executions()[static_cast<size_t>(event.execution) - 1].type);
+    skip_artifact = type < never_joins_as_consumer_.size() &&
+                    never_joins_as_consumer_[type];
   }
+  if (!skip_artifact) MarkArtifactIncident(event.artifact);
   ++stats_.events;
   AdvanceWatermark(event.time);
 }

@@ -16,9 +16,15 @@
 ///    graphlet is incident to a *current member* of that graphlet
 ///    (descendant growth crosses a member artifact; ancestors enter via
 ///    member artifacts; the rule-(b) analysis closure enters via member
-///    Examples spans), so incident events just set a dirty bit. Dirty
-///    cells are re-extracted at seal time against the full store, which
-///    also repairs any chained growth the stale index missed.
+///    Examples spans), so incident events just set a dirty bit. The
+///    marking is exact for stop types: an input event whose consumer no
+///    rule admits across an input edge (a Trainer or `descendant_stop`
+///    type that is not a data-analysis type, per core::ConsumerRulesFor)
+///    dirties only the cells the consumer already belongs to, so a
+///    Transform or Trainer consuming its rolling window of spans does not
+///    reopen every older cell holding one of them. Dirty cells are
+///    re-extracted at seal time against the full store, which also
+///    repairs any chained growth the stale index missed.
 ///  - Watermark sealing. The watermark is the max timestamp observed in
 ///    the feed. A cell whose trainer ended more than `seal_grace_hours`
 ///    before the watermark is extracted and sealed; a late event that
@@ -29,6 +35,7 @@
 /// to core::SegmentTrace on the same store, at any point in history
 /// where both are evaluated.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -168,7 +175,11 @@ class StreamingSegmenter : public core::GraphletMembershipProvider {
   const metadata::MetadataStore* store_;
   StreamingSegmenterOptions options_;
   metadata::Timestamp grace_seconds_ = 0;
-  bool trainer_is_descendant_stop_ = true;
+  /// Per ExecutionType: no Appendix-A rule admits an execution of this
+  /// type across an input edge (core::ConsumerRulesFor), so its input
+  /// events dirty only the cells it already belongs to.
+  std::array<bool, metadata::kNumExecutionTypes> never_joins_as_consumer_ =
+      {};
   core::GraphletExtractor extractor_;
 
   std::deque<Cell> cells_;

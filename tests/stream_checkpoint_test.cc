@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "core/features.h"
 #include "core/graphlet_analysis.h"
 #include "core/waste_mitigation.h"
 #include "metadata/binary_serialization.h"
@@ -159,6 +160,7 @@ TEST_F(StreamCheckpointTest, RestoreRequiresAFreshSession) {
 /// so a test can plant any value in any id field. The defaults describe
 /// a sealed, extracted cell over the two-execution store below.
 struct SegmenterPayload {
+  uint8_t flags = 2 | 4;  // sealed, extracted once
   int64_t trainer = 2;
   std::vector<int64_t> executions = {1, 2};
   std::vector<int64_t> artifacts = {1, 2};
@@ -175,7 +177,7 @@ struct SegmenterPayload {
     AppendVarint(out, 1);  // cells
     AppendSvarint(out, trainer);
     AppendSvarint(out, 20);                 // trainer end
-    out.push_back(2 | 4);                   // sealed, extracted once
+    out.push_back(static_cast<char>(flags));
     AppendSvarint(out, trainer);            // graphlet: anchor
     for (const std::vector<int64_t>* ids : {&executions, &artifacts}) {
       AppendVarint(out, ids->size());
@@ -241,6 +243,149 @@ TEST_F(StreamCheckpointTest, HostileIdsInACrcValidPayloadAreRejected) {
     const common::Status status = segmenter.RestoreState(payload.Encode());
     EXPECT_FALSE(status.ok()) << name;
     EXPECT_EQ(segmenter.num_cells(), 0u) << name;
+  }
+}
+
+/// A one-cell scoring session payload hand-encoded in
+/// ProvenanceSession::EncodeState's layout around `store` and an
+/// unsealed, clean segmenter cell, so a test can plant any scoring row.
+struct ScoringSessionPayload {
+  uint8_t scoring_flags = 1;  // early-scored, not yet settled
+  std::vector<double> row;
+
+  std::string Encode(const metadata::MetadataStore& store) const {
+    using metadata::binwire::AppendSvarint;
+    using metadata::binwire::AppendVarint;
+    std::string out;
+    const std::string store_blob = metadata::SerializeStoreBinary(store);
+    AppendVarint(out, store_blob.size());
+    out += store_blob;
+    AppendVarint(out, 0);                              // span stats
+    AppendSvarint(out, 1);                             // context
+    AppendVarint(out, 0);                              // trace id
+    for (int i = 0; i < 5; ++i) AppendVarint(out, 1);  // counters
+    SegmenterPayload cell;
+    cell.flags = 4;  // clean, unsealed, extracted once
+    cell.newly_sealed = {};
+    const std::string segmenter = cell.Encode();
+    AppendVarint(out, segmenter.size());
+    out += segmenter;
+    out.push_back(1);  // scorer attached
+    AppendVarint(out, 0);  // featurizer history
+    for (int baseline = 0; baseline < 2; ++baseline) {
+      AppendVarint(out, 0);
+      for (int i = 0; i < 4; ++i) walwire::AppendDouble(out, 0.0);
+    }
+    AppendVarint(out, 1);  // featurizer rows
+    AppendVarint(out, 1);  // cell scorings
+    out.push_back(static_cast<char>(scoring_flags));
+    AppendVarint(out, row.size());
+    for (double value : row) walwire::AppendDouble(out, value);
+    AppendVarint(out, 1);                 // decisions
+    AppendSvarint(out, 2);                // trainer
+    out.push_back(0);                     // variant
+    walwire::AppendDouble(out, 0.5);      // score
+    walwire::AppendDouble(out, 0.5);      // threshold
+    for (int i = 0; i < 3; ++i) walwire::AppendDouble(out, 0.5);
+    out.push_back(16 | 32);               // input variants scored
+    walwire::AppendDouble(out, 0.0);      // avoided hours
+    for (int i = 0; i < 3; ++i) AppendVarint(out, 0);  // waste counts
+    walwire::AppendDouble(out, 0.0);
+    return out;
+  }
+};
+
+TEST_F(StreamCheckpointTest, ScoringRowOfTheWrongLengthIsRejected) {
+  // An early-scored, unsettled cell's row is rewritten in place when the
+  // trainer's shape completes and read by every later Score, so a
+  // CRC-valid payload must carry exactly the featurizer's column count
+  // there, and no row on any other cell.
+  auto segmented = core::SegmentCorpus(*corpus_);
+  auto dataset = core::BuildWasteDataset(*corpus_, segmented);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  auto scorer = OnlineScorer::Train(*dataset);
+  ASSERT_TRUE(scorer.ok()) << scorer.status();
+  SessionOptions options;
+  options.scorer = &*scorer;
+  const size_t columns =
+      core::GraphletFeaturizer::BuildSchema(scorer->feature_options())
+          .names.size();
+
+  // gen -> span -> trainer -> model, already ingested.
+  metadata::MetadataStore store;
+  metadata::Context context;
+  context.name = "pipeline_0";
+  store.PutContext(context);
+  for (metadata::ExecutionType type : {metadata::ExecutionType::kExampleGen,
+                                       metadata::ExecutionType::kTrainer}) {
+    metadata::Execution e;
+    e.type = type;
+    e.start_time = 10;
+    e.end_time = 20;
+    store.PutExecution(e);
+  }
+  for (metadata::ArtifactType type : {metadata::ArtifactType::kExamples,
+                                      metadata::ArtifactType::kModel}) {
+    metadata::Artifact a;
+    a.type = type;
+    a.create_time = 10;
+    store.PutArtifact(a);
+  }
+  using metadata::EventKind;
+  for (const metadata::Event& event :
+       {metadata::Event{1, 1, EventKind::kOutput, 10},
+        metadata::Event{2, 1, EventKind::kInput, 10},
+        metadata::Event{2, 2, EventKind::kOutput, 20}}) {
+    ASSERT_TRUE(store.PutEvent(event).ok());
+  }
+  // An evaluator reading the model: the trigger that completes the
+  // trainer's shape and rewrites the restored row.
+  auto consume_model = [](ProvenanceSession& session) {
+    sim::ProvenanceRecord exec;
+    exec.kind = sim::ProvenanceRecord::Kind::kExecution;
+    exec.execution.id = 3;
+    exec.execution.type = metadata::ExecutionType::kEvaluator;
+    exec.execution.start_time = 30;
+    exec.execution.end_time = 40;
+    sim::ProvenanceRecord event;
+    event.kind = sim::ProvenanceRecord::Kind::kEvent;
+    event.event = {3, 2, EventKind::kInput, 30};
+    return session.Ingest(exec).ok() && session.Ingest(event).ok();
+  };
+
+  {
+    ScoringSessionPayload control;
+    control.row.assign(columns, 0.0);
+    ProvenanceSession session(options);
+    const common::Status ok = session.RestoreState(control.Encode(store));
+    ASSERT_TRUE(ok.ok()) << ok;
+    EXPECT_TRUE(consume_model(session));
+    auto result = session.Finish();
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->decisions.size(), 1u);
+    EXPECT_TRUE(result->decisions[0].variant_scored[2]);
+  }
+  std::vector<std::pair<std::string, ScoringSessionPayload>> cases;
+  ScoringSessionPayload p;
+  p.row.assign(columns - 1, 0.0);
+  cases.emplace_back("short row", p);
+  p.row.assign(columns + 1, 0.0);
+  cases.emplace_back("overlong row", p);
+  p.row.clear();
+  cases.emplace_back("empty row on an early-scored unsettled cell", p);
+  p.scoring_flags = 0;  // not yet scored: no row
+  p.row.assign(columns, 0.0);
+  cases.emplace_back("row on an unscored cell", p);
+  p.scoring_flags = 1 | 2 | 4;  // settled: row cleared
+  cases.emplace_back("row on a settled cell", p);
+
+  for (const auto& [name, payload] : cases) {
+    ProvenanceSession session(options);
+    const common::Status status = session.RestoreState(payload.Encode(store));
+    EXPECT_FALSE(status.ok()) << name;
+    // Had the restore been accepted, this trigger would write and read
+    // the row past its end.
+    if (status.ok()) consume_model(session);
   }
 }
 

@@ -135,6 +135,83 @@ TEST(StreamEquivalenceTest, SealedGraphletsSurviveUnchangedToFinish) {
   }
 }
 
+/// A sink that forwards each record to a session and then checks the
+/// invariant exact dirty-marking must keep: every sealed cell's graphlet
+/// equals a fresh extraction over the session's current store. A sealed
+/// cell is never re-extracted until something reopens it, so a skipped
+/// mark that mattered shows up here as a stale sealed graphlet.
+class SealedCellChecker : public sim::ProvenanceSink {
+ public:
+  SealedCellChecker(ProvenanceSession* session,
+                    const core::SegmentationOptions& options)
+      : session_(session), extractor_(options) {}
+
+  void OnRecord(const sim::ProvenanceRecord& record) override {
+    session_->OnRecord(record);
+    ++records_;
+    const StreamingSegmenter& segmenter = session_->segmenter();
+    for (size_t cell = 0; cell < segmenter.num_cells(); ++cell) {
+      if (!segmenter.CellSealed(cell)) continue;
+      ++checks_;
+      const core::Graphlet fresh =
+          extractor_.Extract(session_->store(), segmenter.CellTrainer(cell));
+      if (FingerprintGraphlet(segmenter.CellGraphlet(cell)) !=
+          FingerprintGraphlet(fresh)) {
+        ++stale_;
+        if (stale_ == 1) {
+          ADD_FAILURE() << "sealed cell " << cell << " (trainer "
+                        << segmenter.CellTrainer(cell)
+                        << ") is stale after record " << records_;
+        }
+      }
+    }
+  }
+
+  size_t checks() const { return checks_; }
+  size_t stale() const { return stale_; }
+
+ private:
+  ProvenanceSession* session_;
+  core::GraphletExtractor extractor_;
+  size_t records_ = 0;
+  size_t checks_ = 0;
+  size_t stale_ = 0;
+};
+
+TEST(StreamEquivalenceTest, SealedCellsMatchFreshExtractionAfterEveryRecord) {
+  using metadata::ExecutionType;
+  const std::vector<std::vector<ExecutionType>> stop_sets = {
+      core::SegmentationOptions{}.descendant_stop,
+      {ExecutionType::kTrainer},
+      // An analysis type in the stop set: rule (b) still admits it.
+      {ExecutionType::kStatisticsGen, ExecutionType::kTrainer}};
+  sim::CorpusConfig plain = SmallConfig();
+  sim::CorpusConfig faulty = FaultyConfig();
+  for (sim::CorpusConfig* config : {&plain, &faulty}) {
+    config->num_pipelines = 3;
+    const sim::Corpus corpus = sim::GenerateCorpus(*config);
+    for (const std::vector<ExecutionType>& stop : stop_sets) {
+      SessionOptions options;
+      options.segmenter.segmentation.descendant_stop = stop;
+      options.segmenter.seal_grace_hours = 12.0;
+      for (const sim::PipelineTrace& trace : corpus.pipelines) {
+        ProvenanceSession session(options);
+        SealedCellChecker checker(&session, options.segmenter.segmentation);
+        sim::ProvenanceFeeder feeder(&checker);
+        feeder.Finish(trace);
+        ASSERT_TRUE(session.status().ok()) << session.status();
+        EXPECT_EQ(checker.stale(), 0u);
+        EXPECT_GT(checker.checks(), 0u);
+        auto result = session.Finish();
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(FingerprintGraphlets(result->graphlets),
+                  FingerprintGraphlets(core::SegmentTrace(
+                      trace.store, options.segmenter.segmentation)));
+      }
+    }
+  }
+}
+
 TEST(StreamEquivalenceTest, StreamingIsIdenticalAcrossThreadCounts) {
   // Sessions are per-pipeline and single-threaded; replaying the same
   // corpus under different ParallelFor thread counts must produce

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "core/segmentation.h"
 #include "metadata/types.h"
 #include "simulator/provenance_sink.h"
+#include "stream/fingerprint.h"
 
 namespace mlprov::stream {
 namespace {
@@ -156,6 +158,96 @@ TEST_F(SessionFeed, WatermarkSealsAndLateEventsReseal) {
   // The resealed graphlet picked up the late evaluator.
   EXPECT_EQ(result->graphlets[0].executions,
             (std::vector<ExecutionId>{1, 2, 4}));
+}
+
+/// Seals the prefix's cell (trainer 2) with a second trainer far past the
+/// grace window and returns the sealed cell's index.
+size_t SealFirstCell(ProvenanceSession& session) {
+  EXPECT_TRUE(session
+                  .Ingest(ExecRecord(3, ExecutionType::kTrainer, 100 * kHour,
+                                     101 * kHour, 10.0))
+                  .ok());
+  EXPECT_TRUE(
+      session.Ingest(EventRecord(3, 1, EventKind::kInput, 100 * kHour))
+          .ok());
+  const size_t cell = session.segmenter().CellOf(2);
+  EXPECT_TRUE(session.segmenter().CellSealed(cell));
+  EXPECT_EQ(session.stats().segmenter.reseals, 0u);
+  return cell;
+}
+
+/// Feeds a late execution 4 of `type` that consumes `artifact`.
+void ConsumeLate(ProvenanceSession& session, ExecutionType type,
+                 ArtifactId artifact) {
+  EXPECT_TRUE(
+      session.Ingest(ExecRecord(4, type, 102 * kHour, 103 * kHour)).ok());
+  EXPECT_TRUE(
+      session.Ingest(EventRecord(4, artifact, EventKind::kInput, 102 * kHour))
+          .ok());
+}
+
+TEST_F(SessionFeed, LateStopTypeConsumerOfASealedSpanDoesNotReseal) {
+  // Transform is a descendant stop type and not an analysis type, so no
+  // rule can add it to the sealed graphlet through the span it reads.
+  ProvenanceSession session;
+  FeedPrefix(session);
+  const size_t cell = SealFirstCell(session);
+  const uint64_t sealed =
+      FingerprintGraphlet(session.segmenter().CellGraphlet(cell));
+  ConsumeLate(session, ExecutionType::kTransform, 1);
+  EXPECT_EQ(session.stats().segmenter.reseals, 0u);
+  EXPECT_TRUE(session.segmenter().CellSealed(cell));
+  EXPECT_EQ(FingerprintGraphlet(session.segmenter().CellGraphlet(cell)),
+            sealed);
+
+  auto result = session.Finish();
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->graphlets.size(), 2u);
+  EXPECT_EQ(result->graphlets[0].executions,
+            (std::vector<ExecutionId>{1, 2}));
+  EXPECT_EQ(FingerprintGraphlets(result->graphlets),
+            FingerprintGraphlets(core::SegmentTrace(session.store())));
+}
+
+TEST_F(SessionFeed, LateAnalysisOfASealedSpanResealsAndJoins) {
+  // Rule (b) admits StatisticsGen over a member span whatever the stop
+  // types are, so the same late input must reopen the cell.
+  ProvenanceSession session;
+  FeedPrefix(session);
+  const size_t cell = SealFirstCell(session);
+  ConsumeLate(session, ExecutionType::kStatisticsGen, 1);
+  EXPECT_EQ(session.stats().segmenter.reseals, 1u);
+  EXPECT_FALSE(session.segmenter().CellSealed(cell));
+
+  auto result = session.Finish();
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->graphlets.size(), 2u);
+  EXPECT_EQ(result->graphlets[0].executions,
+            (std::vector<ExecutionId>{1, 2, 4}));
+  EXPECT_EQ(FingerprintGraphlets(result->graphlets),
+            FingerprintGraphlets(core::SegmentTrace(session.store())));
+}
+
+TEST_F(SessionFeed, NonStopTransformOfASealedModelResealsAndJoins) {
+  // With Transform dropped from the stop types, rule (c) admits a
+  // Transform reading the trainer's model as a descendant.
+  SessionOptions options;
+  options.segmenter.segmentation.descendant_stop = {ExecutionType::kTrainer};
+  ProvenanceSession session(options);
+  FeedPrefix(session);
+  const size_t cell = SealFirstCell(session);
+  ConsumeLate(session, ExecutionType::kTransform, 2);
+  EXPECT_EQ(session.stats().segmenter.reseals, 1u);
+  EXPECT_FALSE(session.segmenter().CellSealed(cell));
+
+  auto result = session.Finish();
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->graphlets.size(), 2u);
+  EXPECT_EQ(result->graphlets[0].executions,
+            (std::vector<ExecutionId>{1, 2, 4}));
+  EXPECT_EQ(FingerprintGraphlets(result->graphlets),
+            FingerprintGraphlets(core::SegmentTrace(
+                session.store(), options.segmenter.segmentation)));
 }
 
 TEST(StreamSessionTest, OutOfOrderExecutionIdIsInvalidArgument) {
